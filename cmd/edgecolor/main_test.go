@@ -71,7 +71,6 @@ func TestValidateFlags(t *testing.T) {
 		alg    string
 	}{
 		{"sequential", 0, "bko"},
-		{"goroutines", 0, "bko-theory"},
 		{"sharded", 4, "pr01"},
 		{"sharded", 0, "greedy-classes"},
 		{"sequential", 2, "randomized"}, // -shards is inert but valid here
@@ -87,11 +86,12 @@ func TestValidateFlags(t *testing.T) {
 		shards int
 		alg    string
 	}{
-		{"warp-drive", 0, "bko"}, // unknown engine
-		{"Sharded", 0, "bko"},    // case matters
-		{"sharded", -1, "bko"},   // negative shards
-		{"sequential", 0, "bk0"}, // unknown algorithm
-		{"", 0, "bko"},           // empty engine is not a default here
+		{"warp-drive", 0, "bko"},        // unknown engine
+		{"goroutines", 0, "bko-theory"}, // retired engine
+		{"Sharded", 0, "bko"},           // case matters
+		{"sharded", -1, "bko"},          // negative shards
+		{"sequential", 0, "bk0"},        // unknown algorithm
+		{"", 0, "bko"},                  // empty engine is not a default here
 	}
 	for _, tc := range bad {
 		if err := validateFlags(tc.engine, tc.shards, tc.alg); err == nil {

@@ -1,8 +1,6 @@
 // Command edgecolord is the edge-coloring daemon: an HTTP/JSON front end
-// over the shared serving pool (distec.NewPool), plus a load-driving client
-// mode for exercising a running daemon.
-//
-// Serve (default):
+// over the shared serving pool (distec.NewPool). cmd/loadgen drives load
+// against a running daemon.
 //
 //	edgecolord -addr :8405 -workers 0 -queue 0 -cache 32
 //
@@ -31,11 +29,6 @@
 //
 //	curl -s localhost:8405/v1/session -d '{"graph":{"n":4,"edges":[[0,1],[1,2]]}}'
 //	curl -s localhost:8405/v1/session/<id>/update -d '{"updates":[{"op":"insert","u":2,"v":3}]}'
-//
-// Drive (client mode): replay a synthetic request mix against a daemon at a
-// fixed rate and report throughput and latency quantiles:
-//
-//	edgecolord -drive http://localhost:8405 -rate 20 -duration 10s -mix small=6,medium=3,large=1
 package main
 
 import (
@@ -49,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -57,9 +49,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -92,30 +81,8 @@ func main() {
 		promoteAfter = flag.Duration("promote-after", 0, "follower: promote to serving once the leader has been unreachable this long (0: promote only on POST /v1/promote)")
 		pprofFlag    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (CPU, heap, block profiles on the live daemon)")
 		logFormat    = flag.String("log-format", "text", "structured log format on stderr: text or json")
-
-		drive    = flag.String("drive", "", "drive mode: base URL of a running daemon")
-		rate     = flag.Float64("rate", 20, "drive: requests per second")
-		duration = flag.Duration("duration", 5*time.Second, "drive: how long to drive")
-		mix      = flag.String("mix", "small=6,medium=3,large=1", "drive: request mix weights (small,medium,large)")
 	)
 	flag.Parse()
-
-	if *drive != "" {
-		classes, err := parseMix(*mix)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "edgecolord:", err)
-			os.Exit(2)
-		}
-		sum, err := driveLoad(*drive, *rate, *duration, classes, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "edgecolord:", err)
-			os.Exit(1)
-		}
-		if sum.Errors > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -1644,143 +1611,4 @@ func buildGraph(spec graphSpec) (*distec.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// --- drive mode ---
-
-// driveClass is one request class of the drive mix.
-type driveClass struct {
-	name   string
-	weight int
-	body   []byte
-}
-
-// parseMix parses "small=6,medium=3,large=1" into request classes with
-// pre-encoded bodies. Classes with weight 0 are dropped; unknown class
-// names are an error.
-func parseMix(mix string) ([]driveClass, error) {
-	graphs := map[string]graphSpec{
-		"small":  graphToSpec(distec.RandomRegular(100, 6, 11)),  // 300 edges
-		"medium": graphToSpec(distec.RandomRegular(1000, 8, 12)), // 4000 edges
-		"large":  graphToSpec(distec.Cycle(20000)),               // 20k edges
-	}
-	algs := map[string]string{"small": "bko", "medium": "pr01", "large": "randomized"}
-	var classes []driveClass
-	for _, part := range strings.Split(mix, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad mix entry %q (want name=weight)", part)
-		}
-		weight, err := strconv.Atoi(val)
-		if err != nil || weight < 0 {
-			return nil, fmt.Errorf("bad mix weight %q", part)
-		}
-		spec, ok := graphs[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown mix class %q (have small, medium, large)", name)
-		}
-		if weight == 0 {
-			continue
-		}
-		body, err := json.Marshal(colorRequest{Graph: spec, Algorithm: algs[name], Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		classes = append(classes, driveClass{name: name, weight: weight, body: body})
-	}
-	if len(classes) == 0 {
-		return nil, errors.New("empty mix")
-	}
-	return classes, nil
-}
-
-func graphToSpec(g *distec.Graph) graphSpec {
-	spec := graphSpec{N: g.N(), Edges: make([][2]int, 0, g.M())}
-	for e := 0; e < g.M(); e++ {
-		u, v := g.Endpoints(distec.EdgeID(e))
-		spec.Edges = append(spec.Edges, [2]int{u, v})
-	}
-	return spec
-}
-
-// driveSummary is what a drive run reports.
-type driveSummary struct {
-	Requests int
-	Errors   int
-	Wall     time.Duration
-	P50, P99 time.Duration
-}
-
-// driveLoad replays the weighted mix against base at the given rate for the
-// given duration and prints a summary plus the daemon's own stats.
-func driveLoad(base string, rate float64, duration time.Duration, classes []driveClass, out io.Writer) (driveSummary, error) {
-	if rate <= 0 || math.IsInf(rate, 0) || math.IsNaN(rate) || rate > 1e6 {
-		return driveSummary{}, fmt.Errorf("rate must be in (0, 1e6], got %v", rate)
-	}
-	client := &http.Client{Timeout: 2 * time.Minute}
-	resp, err := client.Get(base + "/healthz")
-	if err != nil {
-		return driveSummary{}, fmt.Errorf("daemon not reachable: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		errCount  int
-		wg        sync.WaitGroup
-	)
-	// Weighted round-robin over an expanded schedule keeps the mix exact.
-	var schedule []int
-	for ci, c := range classes {
-		for i := 0; i < c.weight; i++ {
-			schedule = append(schedule, ci)
-		}
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.Now().Add(duration)
-	start := time.Now()
-	for i := 0; time.Now().Before(deadline); i++ {
-		<-ticker.C
-		c := classes[schedule[i%len(schedule)]]
-		wg.Add(1)
-		go func(c driveClass) {
-			defer wg.Done()
-			t0 := time.Now()
-			resp, err := client.Post(base+"/v1/color", "application/json", bytes.NewReader(c.body))
-			lat := time.Since(t0)
-			ok := err == nil && resp.StatusCode == http.StatusOK
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			mu.Lock()
-			if ok {
-				latencies = append(latencies, lat)
-			} else {
-				errCount++
-			}
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	sum := driveSummary{Requests: len(latencies) + errCount, Errors: errCount, Wall: time.Since(start)}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		sum.P50 = latencies[len(latencies)/2]
-		sum.P99 = latencies[len(latencies)*99/100]
-	}
-	fmt.Fprintf(out, "drive: %d requests in %v (%.1f req/s), %d errors, latency p50=%v p99=%v\n",
-		sum.Requests, sum.Wall.Round(time.Millisecond),
-		float64(sum.Requests)/sum.Wall.Seconds(), sum.Errors, sum.P50, sum.P99)
-	if resp, err := client.Get(base + "/v1/stats"); err == nil {
-		defer resp.Body.Close()
-		var stats json.RawMessage
-		if json.NewDecoder(resp.Body).Decode(&stats) == nil {
-			fmt.Fprintf(out, "daemon stats: %s\n", stats)
-		}
-	}
-	return sum, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +13,16 @@ import (
 
 	"github.com/distec/distec"
 )
+
+// graphToSpec encodes g as a request's graph field.
+func graphToSpec(g *distec.Graph) graphSpec {
+	spec := graphSpec{N: g.N(), Edges: make([][2]int, 0, g.M())}
+	for e := 0; e < g.M(); e++ {
+		u, v := g.Endpoints(distec.EdgeID(e))
+		spec.Edges = append(spec.Edges, [2]int{u, v})
+	}
+	return spec
+}
 
 func newTestServer(t *testing.T) (*httptest.Server, *distec.Pool) {
 	ts, _, pool := newTestServerCfg(t, daemonConfig{})
@@ -475,58 +484,6 @@ func TestWriteDeadlineExtension(t *testing.T) {
 	}
 	if !cr.Verified {
 		t.Fatal("response not verified")
-	}
-}
-
-func TestParseMix(t *testing.T) {
-	classes, err := parseMix("small=2,large=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(classes) != 2 || classes[0].name != "small" || classes[0].weight != 2 {
-		t.Fatalf("classes: %+v", classes)
-	}
-	for _, bad := range []string{"", "small", "small=x", "small=-1", "warp=1", "small=0"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Fatalf("accepted mix %q", bad)
-		}
-	}
-}
-
-func TestDriveLoadRejectsBadRate(t *testing.T) {
-	classes, err := parseMix("small=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rate := range []float64{0, -1, 2e9, math.Inf(1), math.NaN()} {
-		if _, err := driveLoad("http://127.0.0.1:1/", rate, time.Millisecond, classes, io.Discard); err == nil {
-			t.Fatalf("accepted rate %v", rate)
-		}
-	}
-}
-
-func TestDriveLoad(t *testing.T) {
-	ts, _ := newTestServer(t)
-	classes, err := parseMix("small=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	sum, err := driveLoad(ts.URL, 50, 300*time.Millisecond, classes, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Requests == 0 {
-		t.Fatal("no requests driven")
-	}
-	if sum.Errors != 0 {
-		t.Fatalf("%d drive errors: %s", sum.Errors, out.String())
-	}
-	if !strings.Contains(out.String(), "daemon stats") {
-		t.Fatalf("summary missing daemon stats: %s", out.String())
-	}
-	if _, err := driveLoad("http://127.0.0.1:1/", 10, time.Millisecond, classes, &out); err == nil {
-		t.Fatal("drove an unreachable daemon")
 	}
 }
 

@@ -86,7 +86,7 @@ func parseArgs(args []string) (*config, error) {
 		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 	var err error
-	if cfg.mix, err = parseMix(cfg.mixSpec); err != nil {
+	if cfg.mix, err = parseClassMix(cfg.mixSpec); err != nil {
 		return nil, err
 	}
 	if cfg.slos, err = parseSLOs(cfg.sloSpec); err != nil {

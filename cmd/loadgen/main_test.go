@@ -14,7 +14,7 @@ import (
 )
 
 func TestParseMix(t *testing.T) {
-	mix, err := parseMix("color=4, cached=3,churn=0,storm=1")
+	mix, err := parseClassMix("color=4, cached=3,churn=0,storm=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +28,8 @@ func TestParseMix(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "color", "nope=3", "color=-1", "color=0"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Errorf("parseMix(%q): no error", bad)
+		if _, err := parseClassMix(bad); err == nil {
+			t.Errorf("parseClassMix(%q): no error", bad)
 		}
 	}
 }
@@ -55,7 +55,7 @@ func TestParseSLOs(t *testing.T) {
 // TestWRRInterleaves checks the smooth weighted round-robin hits exact
 // proportions over one period and never emits a class's quota as one burst.
 func TestWRRInterleaves(t *testing.T) {
-	mix, err := parseMix("color=3,cached=1")
+	mix, err := parseClassMix("color=3,cached=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestOpenLoopRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gen.cleanup()
-	mix, _ := parseMix("color=2,cached=1,churn=1,storm=1")
+	mix, _ := parseClassMix("color=2,cached=1,churn=1,storm=1")
 	rep := run(gen, mix, 500, 400*time.Millisecond)
 	if rep.Requests != 200 {
 		t.Fatalf("scheduled %d requests, want 200", rep.Requests)
@@ -189,7 +189,7 @@ func TestErrorsAreCounted(t *testing.T) {
 	}
 	defer gen.cleanup()
 	failColor.Store(true)
-	mix, _ := parseMix("color=1")
+	mix, _ := parseClassMix("color=1")
 	rep := run(gen, mix, 200, 100*time.Millisecond)
 	if rep.totalErrors() != 20 {
 		t.Fatalf("errors %d, want 20", rep.totalErrors())

@@ -25,9 +25,9 @@ type classWeight struct {
 	weight int
 }
 
-// parseMix parses "color=4,cached=3,churn=2,storm=1". Unlisted classes get
+// parseClassMix parses "color=4,cached=3,churn=2,storm=1". Unlisted classes get
 // weight 0 (disabled); at least one weight must be positive.
-func parseMix(spec string) ([]classWeight, error) {
+func parseClassMix(spec string) ([]classWeight, error) {
 	var out []classWeight
 	total := 0
 	for _, part := range strings.Split(spec, ",") {

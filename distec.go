@@ -88,16 +88,14 @@ const (
 type Engine string
 
 const (
-	// Sequential runs entities in a deterministic loop (default; fastest
-	// for small instances).
+	// Sequential runs the entities as one shard on the calling goroutine
+	// (default; fastest for small instances).
 	Sequential Engine = "sequential"
-	// Goroutines runs one goroutine per entity with channel links and
-	// barrier-synchronized rounds. Results are identical to Sequential.
-	Goroutines Engine = "goroutines"
-	// Sharded partitions entities across a fixed worker pool (one shard per
-	// core by default; see Options.Shards) with batched message handoff at
-	// round boundaries. Results are bit-identical to Sequential; it is the
-	// engine of choice for large instances (10⁵–10⁶ edges).
+	// Sharded partitions entities into shards (one per core by default;
+	// see Options.Shards) whose phases run in parallel, with batched
+	// cross-shard message handoff. Results are bit-identical to
+	// Sequential; it is the engine of choice for large instances (10⁵–10⁶
+	// edges).
 	Sharded Engine = "sharded"
 )
 
@@ -109,7 +107,7 @@ type Options struct {
 	// Engine selects the execution engine (default Sequential).
 	Engine Engine
 	// Shards is the worker count for the Sharded engine (default: one per
-	// core). Ignored by the other engines.
+	// core). Ignored by Sequential, which is one shard.
 	Shards int
 	// Palette overrides the palette size for ColorEdges (default 2Δ−1, or
 	// Δ+1 for the Vizing algorithm). Must be at least Δ̄+1 to keep the
@@ -161,8 +159,6 @@ func (o Options) engine() (local.Engine, error) {
 	switch o.Engine {
 	case "", Sequential:
 		return local.Sequential, nil
-	case Goroutines:
-		return local.Goroutines, nil
 	case Sharded:
 		return sharded.New(sharded.Config{Shards: o.Shards}), nil
 	default:

@@ -90,13 +90,15 @@ func TestColorEdgesListRejectsSlack(t *testing.T) {
 	}
 }
 
+// TestGoroutineEngineMatches runs the sharded engine with one shard per
+// edge, so every entity runs on a goroutine of its own in every phase.
 func TestGoroutineEngineMatches(t *testing.T) {
 	g := RandomRegular(64, 6, 5)
 	a, err := ColorEdges(g, Options{Engine: Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ColorEdges(g, Options{Engine: Goroutines})
+	b, err := ColorEdges(g, Options{Engine: Sharded, Shards: g.M() + 1})
 	if err != nil {
 		t.Fatal(err)
 	}

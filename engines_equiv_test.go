@@ -12,9 +12,11 @@ import (
 
 // TestEngineEquivalence is the cross-engine harness: every Algorithm on a
 // matrix of generator workloads must produce identical colorings, round
-// counts, and message counts on the Sequential, Goroutines, and Sharded
-// engines — the latter across shard counts 1, 2, NumCPU, and one more than
-// the entity count (edge-entity topologies have one entity per edge).
+// counts, and message counts on the Sequential and Sharded engines — the
+// latter across shard counts 1, 2, NumCPU, and one more than the entity
+// count (edge-entity topologies have one entity per edge), where every
+// entity is a shard of its own and runs on its own goroutine in every
+// phase.
 // The engines promise bit-identical executions, not merely equally valid
 // colorings, so equality is exact.
 func TestEngineEquivalence(t *testing.T) {
@@ -44,17 +46,13 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Fatalf("sequential coloring invalid: %v", err)
 				}
 				variants := []Options{
-					{Algorithm: alg, Seed: 5, Engine: Goroutines},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 1},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 2},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: runtime.NumCPU()},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: w.g.M() + 1},
 				}
 				for _, opts := range variants {
-					name := string(opts.Engine)
-					if opts.Engine == Sharded {
-						name = fmt.Sprintf("sharded-%d", opts.Shards)
-					}
+					name := fmt.Sprintf("sharded-%d", opts.Shards)
 					got, err := ColorEdges(w.g, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -77,7 +75,7 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceListInstance runs the harder (deg(e)+1)-list problem
-// through all three engines on the public list API.
+// through both engines on the public list API.
 func TestEngineEquivalenceListInstance(t *testing.T) {
 	g := RandomRegular(36, 5, 41)
 	dbar := g.MaxEdgeDegree()
@@ -96,7 +94,7 @@ func TestEngineEquivalenceListInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
-		{Engine: Goroutines},
+		{Engine: Sharded, Shards: g.M() + 1},
 		{Engine: Sharded, Shards: 3},
 		{Engine: Sharded},
 	} {
@@ -116,8 +114,10 @@ func TestEngineEquivalenceListInstance(t *testing.T) {
 }
 
 func TestUnknownEngineRejected(t *testing.T) {
-	if _, err := ColorEdges(Cycle(8), Options{Engine: "warp-drive"}); err == nil {
-		t.Fatal("accepted unknown engine")
+	for _, engine := range []Engine{"warp-drive", "goroutines"} {
+		if _, err := ColorEdges(Cycle(8), Options{Engine: engine}); err == nil {
+			t.Fatalf("accepted unknown engine %q", engine)
+		}
 	}
 }
 
@@ -165,16 +165,14 @@ func TestEngineTraceEquivalence(t *testing.T) {
 					t.Fatal("sequential run produced an empty trace")
 				}
 				variants := []Options{
-					{Algorithm: alg, Seed: 5, Engine: Goroutines},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 1},
+					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 2},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 3},
+					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: runtime.NumCPU()},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: w.g.M() + 1},
 				}
 				for _, opts := range variants {
-					name := string(opts.Engine)
-					if opts.Engine == Sharded {
-						name = fmt.Sprintf("sharded-%d", opts.Shards)
-					}
+					name := fmt.Sprintf("sharded-%d", opts.Shards)
 					got := profile(opts)
 					if len(got) != len(want) {
 						t.Fatalf("%s: trace has %d lines, want %d\ngot:\n%s\nwant:\n%s",

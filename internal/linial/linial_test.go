@@ -6,6 +6,7 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
+	"github.com/distec/distec/internal/sharded"
 )
 
 // properOn checks that colors is a proper coloring of topology t.
@@ -136,16 +137,16 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	goColors, goStats, err := Reduce(tp, init, tp.N(), local.Goroutines)
+	shColors, shStats, err := Reduce(tp, init, tp.N(), sharded.New(sharded.Config{Shards: tp.N() + 1}))
 	if err != nil {
-		t.Fatalf("goroutines: %v", err)
+		t.Fatalf("sharded: %v", err)
 	}
-	if seqStats != goStats {
-		t.Fatalf("stats differ: %+v vs %+v", seqStats, goStats)
+	if seqStats != shStats {
+		t.Fatalf("stats differ: %+v vs %+v", seqStats, shStats)
 	}
 	for i := range seqColors {
-		if seqColors[i] != goColors[i] {
-			t.Fatalf("entity %d: %d vs %d", i, seqColors[i], goColors[i])
+		if seqColors[i] != shColors[i] {
+			t.Fatalf("entity %d: %d vs %d", i, seqColors[i], shColors[i])
 		}
 	}
 }

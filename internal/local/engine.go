@@ -3,12 +3,12 @@ package local
 import "github.com/distec/distec/internal/trace"
 
 // Engine executes a Protocol on a Topology until every entity halts. The
-// three engines in the repository — Sequential, Goroutines, and the sharded
-// worker-pool engine in internal/sharded — implement identical synchronous
-// LOCAL semantics: for deterministic protocols, error-free runs produce
-// bit-identical results and stats, differing only in wall-clock cost. (On a
-// protocol error the engines agree on the error and the round it occurred
-// in, but the partial stats returned alongside it are engine-specific.)
+// two engines in the repository — Sequential and the sharded engine in
+// internal/sharded — both drive an Exec, one shard or many: for
+// deterministic protocols, error-free runs produce bit-identical results
+// and stats, differing only in wall-clock cost. (On a protocol error the
+// engines agree on the error and the round it occurred in, but the partial
+// stats returned alongside it depend on the shard count.)
 //
 // Algorithm packages are parameterized by Engine so that the same protocol
 // code runs unchanged on any of them.
@@ -19,8 +19,8 @@ type Engine interface {
 	Run(t *Topology, f Factory, opts *Options) (Stats, error)
 }
 
-// Runner is the signature shared by RunSequential and RunGoroutines. It is
-// the functional form of Engine; wrap one with EngineFunc.
+// Runner is the signature of RunSequential. It is the functional form of
+// Engine; wrap one with EngineFunc.
 type Runner func(t *Topology, f Factory, opts *Options) (Stats, error)
 
 // EngineFunc adapts a Runner function to the Engine interface.
@@ -40,18 +40,13 @@ func (e engineFunc) Run(t *Topology, f Factory, opts *Options) (Stats, error) {
 }
 
 // Sequential is the deterministic single-goroutine engine (RunSequential):
-// the workhorse for experiments and the reference semantics the other
-// engines are tested against.
+// the workhorse for experiments and the reference semantics the sharded
+// engine is tested against.
 var Sequential Engine = EngineFunc("sequential", RunSequential)
-
-// Goroutines is the one-goroutine-per-entity engine (RunGoroutines): real
-// channels per link and barrier-synchronized rounds. It demonstrates that
-// the protocols are honest message-passing programs.
-var Goroutines Engine = EngineFunc("goroutines", RunGoroutines)
 
 // Traced wraps an engine so every Run it executes reports to tr: the
 // wrapper copies the caller's Options (nil included) and injects the
-// tracer, which each engine hands to StartSpan. This is how tracing
+// tracer, which Prepare hands to StartSpan. This is how tracing
 // reaches algorithm packages, which call run.Run with their own Options
 // — the tracer rides on the engine value, not on any one Options
 // struct. A nil tr returns e unchanged, so untraced paths keep the

@@ -2,6 +2,7 @@ package local
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/distec/distec/internal/graph"
@@ -119,34 +120,86 @@ func TestEdgeMetaPortStructure(t *testing.T) {
 	}
 }
 
-func TestFloodMaxBothEngines(t *testing.T) {
-	g := graph.RandomRegular(40, 3, 3)
-	tp := FromGraph(g)
-	rounds := 40 // ≥ diameter
+// shardCounts is the shard matrix the executor tests sweep: one shard (the
+// sequential engine), two, and one more than the entity count, which
+// clamps to one shard per entity so every message crosses shards.
+func shardCounts(n int) []int { return []int{1, 2, n + 1} }
 
-	outSeq := make([]int, tp.N())
-	statsSeq, err := RunSequential(tp, floodFactory(rounds, outSeq), nil)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
+// runShards drives an Exec on the given shard count to completion, fanning
+// each phase out on fresh goroutines — what the sharded engine does.
+func runShards(tp *Topology, f Factory, opts *Options, shards int) (Stats, error) {
+	x := Prepare(tp, f, opts, shards, GoExecutor)
+	for !x.Round() {
 	}
-	outGo := make([]int, tp.N())
-	statsGo, err := RunGoroutines(tp, floodFactory(rounds, outGo), nil)
-	if err != nil {
-		t.Fatalf("goroutines: %v", err)
+	return x.Stats()
+}
+
+// laneExecutor runs tasks on a fixed pool of worker goroutines, the shape
+// internal/serve feeds an Exec from.
+type laneExecutor struct{ tasks chan func() }
+
+func newLaneExecutor(workers int) *laneExecutor {
+	e := &laneExecutor{tasks: make(chan func(), 64)}
+	for i := 0; i < workers; i++ {
+		go func() {
+			for t := range e.tasks {
+				t()
+			}
+		}()
 	}
-	for i := range outSeq {
-		if outSeq[i] != tp.N()-1 {
-			t.Fatalf("entity %d learned max %d, want %d", i, outSeq[i], tp.N()-1)
+	return e
+}
+
+func (e *laneExecutor) Execute(task func()) { e.tasks <- task }
+func (e *laneExecutor) Close()              { close(e.tasks) }
+
+// TestFloodMaxBothEngines floods on several topologies and demands
+// bit-identical results and stats from RunSequential and from an Exec at
+// every shard count, run inline, on fresh goroutines, and on a shared lane
+// pool.
+func TestFloodMaxBothEngines(t *testing.T) {
+	lanes := newLaneExecutor(3)
+	defer lanes.Close()
+	execs := map[string]Executor{"inline": nil, "go": GoExecutor, "lanes": lanes}
+	for _, g := range []*graph.Graph{
+		graph.Cycle(30), graph.Star(17), graph.Complete(12), graph.RandomRegular(48, 4, 3), graph.Path(2),
+	} {
+		for _, tp := range []*Topology{FromGraph(g), EdgeConflict(g)} {
+			rounds := 40 // ≥ diameter
+			want := make([]int, tp.N())
+			wantStats, err := RunSequential(tp, floodFactory(rounds, want), nil)
+			if err != nil {
+				t.Fatalf("sequential: %v", err)
+			}
+			if wantStats.Rounds != rounds {
+				t.Fatalf("rounds = %d, want %d", wantStats.Rounds, rounds)
+			}
+			for i := range want {
+				if want[i] != tp.N()-1 {
+					t.Fatalf("entity %d learned max %d, want %d", i, want[i], tp.N()-1)
+				}
+			}
+			for name, exec := range execs {
+				for _, shards := range shardCounts(tp.N()) {
+					got := make([]int, tp.N())
+					x := Prepare(tp, floodFactory(rounds, got), nil, shards, exec)
+					for !x.Round() {
+					}
+					gotStats, err := x.Stats()
+					if err != nil {
+						t.Fatalf("%s shards=%d: %v", name, shards, err)
+					}
+					if gotStats != wantStats {
+						t.Fatalf("%s shards=%d: stats %+v, want %+v", name, shards, gotStats, wantStats)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s shards=%d entity %d: got %d, want %d", name, shards, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
-		if outSeq[i] != outGo[i] {
-			t.Fatalf("engines disagree at entity %d: %d vs %d", i, outSeq[i], outGo[i])
-		}
-	}
-	if statsSeq.Rounds != rounds || statsGo.Rounds != rounds {
-		t.Fatalf("rounds: seq=%d go=%d, want %d", statsSeq.Rounds, statsGo.Rounds, rounds)
-	}
-	if statsSeq.Messages != statsGo.Messages {
-		t.Fatalf("message counts differ: seq=%d go=%d", statsSeq.Messages, statsGo.Messages)
 	}
 }
 
@@ -186,11 +239,10 @@ func TestPortWiring(t *testing.T) {
 			f := func(v View) Protocol {
 				return &portEcho{v: v, expected: tp.Ports[v.Index], t: t}
 			}
-			if _, err := RunSequential(tp, f, nil); err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
-			if _, err := RunGoroutines(tp, f, nil); err != nil {
-				t.Fatalf("goroutines: %v", err)
+			for _, shards := range shardCounts(tp.N()) {
+				if _, err := runShards(tp, f, nil, shards); err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
 			}
 		}
 	}
@@ -203,18 +255,45 @@ func (nh *neverHalt) Send(r int) []Message        { return nil }
 func (nh *neverHalt) Receive(int, []Message) bool { return false }
 func neverFactory(v View) Protocol                { return &neverHalt{v: v} }
 
+// TestRoundLimit: both ways a run is cut short are decided at the start of
+// a round — the round cap and the Interrupt hook — so at every shard count
+// the run stops with exactly the rounds before it, and a finished Exec
+// stays finished.
 func TestRoundLimit(t *testing.T) {
-	tp := FromGraph(graph.Cycle(4))
-	opts := &Options{MaxRounds: 10}
-	if _, err := RunSequential(tp, neverFactory, opts); !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("sequential: err = %v, want ErrRoundLimit", err)
-	}
-	if _, err := RunGoroutines(tp, neverFactory, opts); !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("goroutines: err = %v, want ErrRoundLimit", err)
+	boom := errors.New("deadline")
+	tp := FromGraph(graph.Cycle(6))
+	for _, shards := range shardCounts(tp.N()) {
+		polls := 0
+		cases := []struct {
+			name   string
+			opts   *Options
+			err    error
+			rounds int
+		}{
+			{"limit", &Options{MaxRounds: 10}, ErrRoundLimit, 10},
+			{"interrupt", &Options{Interrupt: func() error {
+				if polls++; polls > 3 {
+					return boom
+				}
+				return nil
+			}}, boom, 3},
+		}
+		for _, tc := range cases {
+			x := Prepare(tp, neverFactory, tc.opts, shards, GoExecutor)
+			for !x.Round() {
+			}
+			stats, err := x.Stats()
+			if !errors.Is(err, tc.err) || stats.Rounds != tc.rounds {
+				t.Fatalf("%s shards=%d: stats %+v, err %v; want %d rounds then %v", tc.name, shards, stats, err, tc.rounds, tc.err)
+			}
+			if !x.Round() || !x.Done() {
+				t.Fatalf("%s shards=%d: finished Exec must stay finished", tc.name, shards)
+			}
+		}
 	}
 }
 
-// staggeredHalt halts entity i after i+1 rounds, exercising the engines'
+// staggeredHalt halts entity i after i+1 rounds, exercising the executor's
 // handling of messages arriving at already-halted entities.
 type staggeredHalt struct{ v View }
 
@@ -233,45 +312,51 @@ func (s *staggeredHalt) Receive(r int, inbox []Message) bool {
 func TestStaggeredHalting(t *testing.T) {
 	tp := FromGraph(graph.Complete(8))
 	f := func(v View) Protocol { return &staggeredHalt{v: v} }
-	seq, err := RunSequential(tp, f, nil)
+	want, err := RunSequential(tp, f, nil)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	gor, err := RunGoroutines(tp, f, nil)
-	if err != nil {
-		t.Fatalf("goroutines: %v", err)
+	if want.Rounds != 8 {
+		t.Fatalf("rounds = %d, want 8 (last entity halts after round 8)", want.Rounds)
 	}
-	if seq.Rounds != 8 || gor.Rounds != 8 {
-		t.Fatalf("rounds seq=%d go=%d, want 8 (last entity halts after round 8)", seq.Rounds, gor.Rounds)
-	}
-	if seq.Messages != gor.Messages {
-		t.Fatalf("messages differ: seq=%d go=%d", seq.Messages, gor.Messages)
+	for _, shards := range shardCounts(tp.N()) {
+		got, err := runShards(tp, f, nil, shards)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if got != want {
+			t.Fatalf("shards=%d: stats %+v, want %+v", shards, got, want)
+		}
 	}
 }
 
 func TestEmptyTopology(t *testing.T) {
-	g := graph.New(5) // nodes, no edges
-	tp := EdgeConflict(g)
-	stats, err := RunSequential(tp, neverFactory, &Options{MaxRounds: 1})
-	if err != nil {
-		t.Fatalf("sequential on empty: %v", err)
-	}
-	if stats.Rounds != 0 {
-		t.Fatalf("rounds = %d, want 0", stats.Rounds)
-	}
-	if _, err := RunGoroutines(tp, neverFactory, &Options{MaxRounds: 1}); err != nil {
-		t.Fatalf("goroutines on empty: %v", err)
+	tp := EdgeConflict(graph.New(5)) // nodes, no edges
+	for _, shards := range shardCounts(tp.N()) {
+		x := Prepare(tp, neverFactory, &Options{MaxRounds: 1}, shards, GoExecutor)
+		if !x.Done() || len(x.workers) != 0 {
+			t.Fatalf("shards=%d: empty topology should be done at once with no shards", shards)
+		}
+		if stats, err := x.Stats(); err != nil || stats != (Stats{}) {
+			t.Fatalf("shards=%d: stats = %+v, %v; want zero, nil", shards, stats, err)
+		}
 	}
 }
 
+// TestSendLengthMismatchRejected: a wrong-length outbox is an error, and
+// the error names the lowest offending entity whatever the interleaving of
+// the shards.
 func TestSendLengthMismatchRejected(t *testing.T) {
-	tp := FromGraph(graph.Cycle(4))
+	tp := FromGraph(graph.Complete(8))
 	bad := func(v View) Protocol { return badSender{} }
-	if _, err := RunSequential(tp, bad, nil); err == nil {
-		t.Fatal("sequential accepted wrong outbox length")
-	}
-	if _, err := RunGoroutines(tp, bad, nil); err == nil {
-		t.Fatal("goroutines accepted wrong outbox length")
+	for _, shards := range shardCounts(tp.N()) {
+		_, err := runShards(tp, bad, nil, shards)
+		if err == nil {
+			t.Fatalf("shards=%d: accepted wrong outbox length", shards)
+		}
+		if !strings.Contains(err.Error(), "entity 0 ") {
+			t.Fatalf("shards=%d: error %q does not blame the lowest entity", shards, err)
+		}
 	}
 }
 

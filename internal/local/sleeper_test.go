@@ -48,34 +48,40 @@ func (s *sleepy) finished(r int) bool {
 }
 
 func TestSleeperContractBothEngines(t *testing.T) {
-	g := graph.Complete(9)
-	tp := FromGraph(g)
-	run := func(rn Runner) ([]int, Stats) {
-		out := make([]int, tp.N())
-		stats, err := rn(tp, func(v View) Protocol { return &sleepy{v: v, out: out} }, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, stats
+	tp := FromGraph(graph.Complete(9))
+	f := func(out []int) Factory {
+		return func(v View) Protocol { return &sleepy{v: v, out: out} }
 	}
-	seqOut, seqStats := run(RunSequential)
-	gorOut, gorStats := run(RunGoroutines)
-	if seqStats != gorStats {
-		t.Fatalf("stats differ: %+v vs %+v", seqStats, gorStats)
+	want := make([]int, tp.N())
+	wantStats, err := RunSequential(tp, f(want), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range seqOut {
-		if seqOut[i] != gorOut[i] {
-			t.Fatalf("entity %d: seq %d vs gor %d", i, seqOut[i], gorOut[i])
-		}
+	for i := range want {
 		// Entity i halts in round i+1 having heard announcements of all
 		// lower-index neighbors (each announced in an earlier or equal
 		// round; equal-round announcements are delivered that round).
-		if seqOut[i] != i {
-			t.Fatalf("entity %d heard %d announcements, want %d", i, seqOut[i], i)
+		if want[i] != i {
+			t.Fatalf("entity %d heard %d announcements, want %d", i, want[i], i)
 		}
 	}
-	if seqStats.Rounds != tp.N() {
-		t.Fatalf("rounds = %d, want %d", seqStats.Rounds, tp.N())
+	if wantStats.Rounds != tp.N() {
+		t.Fatalf("rounds = %d, want %d", wantStats.Rounds, tp.N())
+	}
+	for _, shards := range shardCounts(tp.N()) {
+		got := make([]int, tp.N())
+		gotStats, err := runShards(tp, f(got), nil, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("shards=%d: stats %+v, want %+v", shards, gotStats, wantStats)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d entity %d: heard %d, want %d", shards, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -124,15 +130,16 @@ func (l *lateSleeper) finished(r int) bool {
 }
 
 func TestSleeperWokenByMessage(t *testing.T) {
-	g := graph.Star(6) // center 0 broadcasts round 1
-	tp := FromGraph(g)
-	out := make([]int, tp.N())
-	if _, err := RunSequential(tp, func(v View) Protocol { return &lateSleeper{v: v, out: out} }, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < tp.N(); i++ {
-		if out[i] != 1 {
-			t.Fatalf("leaf %d woke at round %d, want 1 (message must override sleep)", i, out[i])
+	tp := FromGraph(graph.Star(6)) // center 0 broadcasts round 1
+	for _, shards := range shardCounts(tp.N()) {
+		out := make([]int, tp.N())
+		if _, err := runShards(tp, func(v View) Protocol { return &lateSleeper{v: v, out: out} }, nil, shards); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < tp.N(); i++ {
+			if out[i] != 1 {
+				t.Fatalf("shards=%d: leaf %d woke at round %d, want 1 (message must override sleep)", shards, i, out[i])
+			}
 		}
 	}
 }

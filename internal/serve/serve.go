@@ -10,13 +10,12 @@
 //   - Small topologies take the fast path: the whole execution runs as one
 //     task on one lane via local.RunSequential, the fastest engine for
 //     small instances — no barriers, no cross-goroutine handoff.
-//   - Large topologies run step-driven: with several lanes the per-shard
-//     phase work of each round fans out across them (sharded.Exec); with
-//     one lane the rounds run in bounded time slices of the sequential
-//     step form (local.SeqExec), at full sequential speed. Either way a
-//     huge graph occupies the lanes only round by round (or slice by
-//     slice), so it cannot starve the queue — FIFO task order interleaves
-//     every in-flight job at round granularity.
+//   - Large topologies run step-driven on a local.Exec: with several lanes
+//     the per-shard phase work of each round fans out across them; with
+//     one lane a one-shard Exec — the sequential engine — runs in bounded
+//     time slices. Either way a huge graph occupies the lanes only round
+//     by round (or slice by slice), so it cannot starve the queue — FIFO
+//     task order interleaves every in-flight job at round granularity.
 //
 // Admission is bounded (Options.QueueDepth): at most that many jobs are in
 // flight, further submissions block — backpressure — until a slot frees or
@@ -24,7 +23,7 @@
 // depth, p50/p99 latency, LOCAL rounds and messages served); see Stats.
 //
 // Results are bit-identical to local.RunSequential for every protocol in
-// the repository: both routes reuse engines with exactly that guarantee.
+// the repository: every route runs the same round executor.
 package serve
 
 import (
@@ -244,6 +243,6 @@ func (p *Pool) Close() {
 	p.lanes.Wait()
 }
 
-// Execute implements sharded.Executor: phase tasks of fanned-out large
+// Execute implements local.Executor: phase tasks of fanned-out large
 // executions share the same lanes (and FIFO order) as whole small jobs.
 func (p *Pool) Execute(task func()) { p.tasks <- task }

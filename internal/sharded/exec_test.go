@@ -10,15 +10,15 @@ import (
 	"github.com/distec/distec/internal/local"
 )
 
+// The tests in this file drive the multi-shard local.Exec that Engine.Run
+// wraps by hand, one Round call at a time, the way internal/serve does.
+
 // laneExecutor runs tasks on a fixed pool of worker goroutines, the shape
 // internal/serve feeds an Exec from.
-type laneExecutor struct {
-	tasks chan func()
-	done  chan struct{}
-}
+type laneExecutor struct{ tasks chan func() }
 
 func newLaneExecutor(workers int) *laneExecutor {
-	e := &laneExecutor{tasks: make(chan func(), 64), done: make(chan struct{})}
+	e := &laneExecutor{tasks: make(chan func(), 64)}
 	for i := 0; i < workers; i++ {
 		go func() {
 			for t := range e.tasks {
@@ -32,9 +32,9 @@ func newLaneExecutor(workers int) *laneExecutor {
 func (e *laneExecutor) Execute(task func()) { e.tasks <- task }
 func (e *laneExecutor) Close()              { close(e.tasks) }
 
-// drive runs an Exec to completion through the given executor.
-func drive(x *Exec, exec Executor) (local.Stats, error) {
-	for !x.Round(exec) {
+// drive runs an Exec to completion.
+func drive(x *local.Exec) (local.Stats, error) {
+	for !x.Round() {
 	}
 	return x.Stats()
 }
@@ -45,7 +45,7 @@ func drive(x *Exec, exec Executor) (local.Stats, error) {
 func TestExecMatchesSequential(t *testing.T) {
 	lanes := newLaneExecutor(3)
 	defer lanes.Close()
-	execs := map[string]Executor{"inline": nil, "go": GoExecutor, "lanes": lanes}
+	execs := map[string]local.Executor{"inline": nil, "go": local.GoExecutor, "lanes": lanes}
 	for _, g := range []*graph.Graph{
 		graph.Cycle(30), graph.Star(17), graph.Complete(12), graph.RandomRegular(48, 4, 3),
 	} {
@@ -64,8 +64,7 @@ func TestExecMatchesSequential(t *testing.T) {
 			for name, exec := range execs {
 				for _, shards := range shardCounts(tp.N()) {
 					got := make([]int, tp.N())
-					x := Prepare(tp, f(got), nil, shards, exec)
-					gotStats, err := drive(x, exec)
+					gotStats, err := drive(local.Prepare(tp, f(got), nil, shards, exec))
 					if err != nil {
 						t.Fatalf("%s shards=%d: %v", name, shards, err)
 					}
@@ -97,7 +96,7 @@ func TestExecSleeperAndLinial(t *testing.T) {
 	}
 	for _, shards := range shardCounts(tp.N()) {
 		got := make([]int, tp.N())
-		gotStats, err := drive(Prepare(tp, f(got), nil, shards, GoExecutor), GoExecutor)
+		gotStats, err := drive(local.Prepare(tp, f(got), nil, shards, local.GoExecutor))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -122,7 +121,7 @@ func TestExecSleeperAndLinial(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepEngine := local.EngineFunc("exec-4", func(tp *local.Topology, f local.Factory, opts *local.Options) (local.Stats, error) {
-		return drive(Prepare(tp, f, opts, 4, GoExecutor), GoExecutor)
+		return drive(local.Prepare(tp, f, opts, 4, local.GoExecutor))
 	})
 	gotC, gotS, err := linial.Reduce(ec, init, ec.N(), stepEngine)
 	if err != nil {
@@ -140,21 +139,21 @@ func TestExecSleeperAndLinial(t *testing.T) {
 
 func TestExecRoundLimitAndErrors(t *testing.T) {
 	tp := local.FromGraph(graph.Cycle(4))
-	x := Prepare(tp, neverFactory, &local.Options{MaxRounds: 10}, 2, nil)
-	stats, err := drive(x, nil)
+	x := local.Prepare(tp, neverFactory, &local.Options{MaxRounds: 10}, 2, nil)
+	stats, err := drive(x)
 	if !errors.Is(err, local.ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
 	if stats.Rounds != 10 {
 		t.Fatalf("rounds = %d, want 10", stats.Rounds)
 	}
-	if !x.Round(nil) || !x.Done() {
+	if !x.Round() || !x.Done() {
 		t.Fatal("finished Exec must stay finished")
 	}
 
 	bad := local.FromGraph(graph.Complete(8))
 	for _, shards := range []int{1, 3, 8} {
-		_, err := drive(Prepare(bad, func(local.View) local.Protocol { return badSender{} }, nil, shards, GoExecutor), GoExecutor)
+		_, err := drive(local.Prepare(bad, func(local.View) local.Protocol { return badSender{} }, nil, shards, local.GoExecutor))
 		if err == nil {
 			t.Fatalf("shards=%d: accepted wrong outbox length", shards)
 		}
@@ -165,7 +164,7 @@ func TestExecRoundLimitAndErrors(t *testing.T) {
 }
 
 func TestExecEmptyTopology(t *testing.T) {
-	x := Prepare(local.EdgeConflict(graph.New(5)), neverFactory, nil, 4, nil)
+	x := local.Prepare(local.EdgeConflict(graph.New(5)), neverFactory, nil, 4, nil)
 	if !x.Done() {
 		t.Fatal("empty topology should be done immediately")
 	}
@@ -184,33 +183,12 @@ func TestExecInterrupt(t *testing.T) {
 		}
 		return nil
 	}}
-	x := Prepare(local.FromGraph(graph.Cycle(6)), neverFactory, opts, 2, nil)
-	_, err := drive(x, nil)
+	x := local.Prepare(local.FromGraph(graph.Cycle(6)), neverFactory, opts, 2, nil)
+	_, err := drive(x)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want interrupt error", err)
 	}
 	if stats, _ := x.Stats(); stats.Rounds != 3 {
 		t.Fatalf("rounds = %d, want 3 completed before interrupt", stats.Rounds)
-	}
-}
-
-// TestRunInterrupt covers the interrupt seam of the persistent-worker Run
-// loop (checked in the end-of-round hook).
-func TestRunInterrupt(t *testing.T) {
-	boom := errors.New("cancelled")
-	polls := 0
-	opts := &local.Options{Interrupt: func() error {
-		polls++
-		if polls >= 5 {
-			return boom
-		}
-		return nil
-	}}
-	for _, shards := range []int{1, 3} {
-		polls = 0
-		_, err := New(Config{Shards: shards}).Run(local.FromGraph(graph.Cycle(6)), neverFactory, opts)
-		if !errors.Is(err, boom) {
-			t.Fatalf("shards=%d: err = %v, want interrupt error", shards, err)
-		}
 	}
 }

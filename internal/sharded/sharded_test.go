@@ -96,11 +96,11 @@ func (s *staggered) Send(r int) []local.Message {
 
 func (s *staggered) Receive(r int, inbox []local.Message) bool { return r > s.v.Index }
 
-// shardCounts is the matrix of worker counts the equivalence tests sweep,
-// including the degenerate single-shard pool and counts exceeding the
-// entity count.
+// shardCounts is the matrix of worker counts the equivalence tests sweep:
+// the degenerate single-shard pool, two shards, and one more than the
+// entity count (one shard per entity).
 func shardCounts(n int) []int {
-	return []int{1, 2, 3, 4, n, n + 5}
+	return []int{1, 2, n + 1}
 }
 
 func TestFloodMaxMatchesSequential(t *testing.T) {
@@ -219,7 +219,7 @@ func neverFactory(v local.View) local.Protocol      { return neverHalt{} }
 
 func TestRoundLimit(t *testing.T) {
 	tp := local.FromGraph(graph.Cycle(4))
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range shardCounts(tp.N()) {
 		stats, err := New(Config{Shards: shards}).Run(tp, neverFactory, &local.Options{MaxRounds: 10})
 		if !errors.Is(err, local.ErrRoundLimit) {
 			t.Fatalf("shards=%d: err = %v, want ErrRoundLimit", shards, err)
@@ -232,12 +232,42 @@ func TestRoundLimit(t *testing.T) {
 
 func TestEmptyTopology(t *testing.T) {
 	tp := local.EdgeConflict(graph.New(5)) // nodes, no edges
-	stats, err := New(Config{}).Run(tp, neverFactory, &local.Options{MaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{0, 1, 2} {
+		stats, err := New(Config{Shards: shards}).Run(tp, neverFactory, &local.Options{MaxRounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats != (local.Stats{}) {
+			t.Fatalf("shards=%d: stats = %+v, want zero", shards, stats)
+		}
 	}
-	if stats != (local.Stats{}) {
-		t.Fatalf("stats = %+v, want zero", stats)
+}
+
+// TestRunInterrupt: the engine polls the interrupt hook where a hand-driven
+// Exec does, at the start of every round on the driving goroutine, so both
+// stop after the same number of completed rounds.
+func TestRunInterrupt(t *testing.T) {
+	boom := errors.New("cancelled")
+	tp := local.FromGraph(graph.Cycle(6))
+	for _, shards := range shardCounts(tp.N()) {
+		polls := 0
+		opts := &local.Options{Interrupt: func() error {
+			if polls++; polls >= 5 {
+				return boom
+			}
+			return nil
+		}}
+		stats, err := New(Config{Shards: shards}).Run(tp, neverFactory, opts)
+		if !errors.Is(err, boom) || stats.Rounds != 4 {
+			t.Fatalf("Run shards=%d: stats %+v, err %v; want 4 rounds then interrupt", shards, stats, err)
+		}
+		polls = 0
+		x := local.Prepare(tp, neverFactory, opts, shards, local.GoExecutor)
+		for !x.Round() {
+		}
+		if xs, xerr := x.Stats(); !errors.Is(xerr, boom) || xs.Rounds != stats.Rounds {
+			t.Fatalf("Exec shards=%d: stats %+v, err %v; want %d rounds then interrupt", shards, xs, xerr, stats.Rounds)
+		}
 	}
 }
 
@@ -250,7 +280,7 @@ func (badSender) Receive(int, []local.Message) bool { return false }
 
 func TestSendLengthMismatchDeterministic(t *testing.T) {
 	tp := local.FromGraph(graph.Complete(8))
-	for _, shards := range []int{1, 3, 8} {
+	for _, shards := range shardCounts(tp.N()) {
 		_, err := New(Config{Shards: shards}).Run(tp, func(local.View) local.Protocol { return badSender{} }, nil)
 		if err == nil {
 			t.Fatalf("shards=%d: accepted wrong outbox length", shards)
@@ -258,48 +288,6 @@ func TestSendLengthMismatchDeterministic(t *testing.T) {
 		if !strings.Contains(err.Error(), "entity 0 ") {
 			t.Fatalf("shards=%d: error %q does not blame the lowest entity", shards, err)
 		}
-	}
-}
-
-func TestRunStatsCollected(t *testing.T) {
-	g := graph.RandomRegular(40, 4, 5)
-	tp := local.FromGraph(g)
-	var rs *RunStats
-	eng := New(Config{Shards: 4, Collect: func(s *RunStats) { rs = s }})
-	f := func(v local.View) local.Protocol {
-		return &floodMax{v: v, rounds: 5, best: v.Index, out: make([]int, tp.N())}
-	}
-	stats, err := eng.Run(tp, f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs == nil {
-		t.Fatal("Collect not called")
-	}
-	if rs.Shards != 4 || len(rs.PerShard) != 4 {
-		t.Fatalf("shards = %d / %d entries, want 4", rs.Shards, len(rs.PerShard))
-	}
-	if rs.Rounds != stats.Rounds || rs.Messages != stats.Messages {
-		t.Fatalf("RunStats %d/%d disagrees with Stats %d/%d", rs.Rounds, rs.Messages, stats.Rounds, stats.Messages)
-	}
-	var ents int
-	var sent, delivered int64
-	for _, s := range rs.PerShard {
-		if s.Entities == 0 {
-			t.Fatal("empty shard in partition")
-		}
-		ents += s.Entities
-		sent += s.Sent
-		delivered += s.Delivered
-	}
-	if ents != tp.N() {
-		t.Fatalf("shard entities sum to %d, want %d", ents, tp.N())
-	}
-	if sent != stats.Messages || delivered != stats.Messages {
-		t.Fatalf("sent=%d delivered=%d, want both %d", sent, delivered, stats.Messages)
-	}
-	if rs.Wall <= 0 {
-		t.Fatal("wall time not measured")
 	}
 }
 

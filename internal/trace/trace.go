@@ -1,9 +1,9 @@
 // Package trace is a zero-dependency, round-resolved execution tracer
 // for the LOCAL engines. A *Trace collects one Span per protocol
-// execution (one local.Engine.Run, or one step-driven Exec/SeqExec
-// drive) and one RoundEvent per synchronous round inside it: duration,
-// messages sent, entities that received state, entities that halted,
-// and — for the sharded engine — per-shard busy time.
+// execution (one local.Exec, whichever engine drives it) and one
+// RoundEvent per synchronous round inside it: duration, messages sent,
+// entities that received state, entities that halted, and — for
+// multi-shard executions — per-shard busy time.
 //
 // Every method on *Trace and *Span is nil-safe: a nil tracer is the
 // disabled state, engines call through it unconditionally, and the
@@ -11,15 +11,14 @@
 // contract the ≤2% disabled-overhead gate in BENCH_trace.json holds
 // the engines to.
 //
-// Counter semantics are engine-invariant by construction, so the
-// cross-engine equivalence matrix can assert on them bit-for-bit:
+// Counter semantics do not depend on the engine or the shard count, so
+// the cross-engine equivalence matrix can assert on them bit-for-bit:
 //
 //   - Messages: non-nil messages sent this round (same count every
 //     engine reports in its Stats).
 //   - Received: entities, not yet halted, that had at least one message
-//     delivered this round. "Entities processed" would NOT be invariant
-//     (the goroutines engine ticks every entity each round; sequential
-//     and sharded skip sleepers), but deliveries are bit-identical.
+//     delivered this round (deliveries are bit-identical; sleeping
+//     entities skipped by the executor are not counted).
 //   - Halted: entities whose Receive returned done this round.
 //   - Active: entities still running after the round's halts.
 //
@@ -160,10 +159,9 @@ type Span struct {
 	Rounds []RoundEvent
 }
 
-// Round appends one round's event. Engines emit from a single
-// goroutine per span (the driver, or a barrier/phaser last-arrival
-// hook), but the trace lock is taken anyway so exporters and the race
-// detector see a consistent stream.
+// Round appends one round's event. The executor emits from the one
+// goroutine driving the span, but the trace lock is taken anyway so
+// exporters and the race detector see a consistent stream.
 func (s *Span) Round(ev RoundEvent) {
 	if s == nil {
 		return
@@ -200,8 +198,8 @@ type RoundEvent struct {
 	Received int
 	Halted   int
 	Active   int
-	// ShardBusy is the per-shard busy time for this round (sharded
-	// engine only; nil elsewhere). Skew between entries is the
+	// ShardBusy is the per-shard busy time for this round (multi-shard
+	// executions only; nil for one shard). Skew between entries is the
 	// partitioner's imbalance.
 	ShardBusy []time.Duration
 }
