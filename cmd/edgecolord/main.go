@@ -826,11 +826,12 @@ func (s *server) persistOptions() persist.Options {
 }
 
 // recoverSessions re-registers every session persisted under the data dir.
-// The first maxResident come back fully live (snapshot restored, WAL
-// replayed, coloring verified, original ID kept); the rest register
-// passivated after a cheap durability scan, so boot cost and memory stay
-// bounded however many sessions the dir holds — each rehydrates (and
-// verifies) on its first touch instead.
+// The first maxResident come back fully live through openSession
+// (snapshot restored, WAL replayed, coloring verified, original ID kept);
+// the rest register passivated after a cheap durability scan (checksums,
+// torn tails, sequence chain — everything but the coloring replay), so
+// boot cost and memory stay bounded however many sessions the dir holds —
+// each rehydrates (and verifies) on its first touch instead.
 func (s *server) recoverSessions() {
 	entries, err := os.ReadDir(s.cfg.dataDir)
 	if err != nil {
@@ -843,17 +844,23 @@ func (s *server) recoverSessions() {
 		}
 		id := e.Name()
 		start := time.Now()
-		var sess *session
+		sess := &session{id: id}
 		if int(s.residentCount.Load()) < s.maxResidentLimit() {
-			sess, err = s.recoverSession(id)
+			// Boot recovery runs before the listener accepts anything: there
+			// is no request whose deadline could bound this replay, and
+			// aborting half-way would just re-run the same work on the next
+			// start.
+			//distec:nolint ctxflow
+			err = s.openSession(context.Background(), sess)
 		} else {
-			sess, err = s.adoptPassivated(id)
+			_, _, _, err = persist.ScanDir(filepath.Join(s.cfg.dataDir, id))
 		}
 		if err != nil {
 			s.logger.Error("session recovery failed", "session", id, "err", err)
 			s.recoveryFailures++
 			continue
 		}
+		sess.touch()
 		s.recoveryTime.Observe(time.Since(start).Seconds())
 		s.logger.Info("session recovered", "session", id, "resident", sess.resident.Load(),
 			"duration_ms", float64(time.Since(start).Microseconds())/1000)
@@ -864,113 +871,42 @@ func (s *server) recoverSessions() {
 	}
 }
 
-// adoptPassivated registers a persisted session without loading it: the
-// directory is scanned (checksums, torn tails, sequence chain — everything
-// but the coloring replay), and the session rehydrates on first touch.
-func (s *server) adoptPassivated(id string) (*session, error) {
-	if _, _, _, err := persist.ScanDir(filepath.Join(s.cfg.dataDir, id)); err != nil {
-		return nil, err
-	}
-	sess := &session{id: id}
-	sess.touch()
-	return sess, nil
-}
-
-// recoverSession rebuilds one session from its directory: open the log
-// (which repairs a torn WAL tail and finishes an interrupted compaction),
-// restore the merged snapshot, replay the surviving records in order, and
-// verify the result. Any failure abandons the recovery with the files
-// untouched.
-func (s *server) recoverSession(id string) (*session, error) {
-	dir := filepath.Join(s.cfg.dataDir, id)
-	lg, snap, records, err := persist.OpenLog(dir, s.persistOptions())
+// openSession loads sess from its directory and makes it resident — the
+// one load path behind boot recovery, promotion and rehydration. OpenLog
+// repairs a torn WAL tail and finishes an interrupted compaction;
+// distec.RestoreDynamic restores the merged snapshot, replays the
+// surviving records and refuses a session that lands on the wrong seq or
+// does not verify. A WAL already past the threshold is then compacted
+// synchronously (loading is the cheap moment), so the next load stays
+// bounded; a compaction failure poisons the log — serving the session
+// anyway would 500 every update with no trace of why — so it fails the
+// load. Any failure leaves the files untouched for the operator
+// (sessionctl). ctx bounds the replay. The caller holds sess.mu, or owns
+// sess exclusively.
+func (s *server) openSession(ctx context.Context, sess *session) error {
+	lg, snap, records, err := persist.OpenLog(filepath.Join(s.cfg.dataDir, sess.id), s.persistOptions())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			lg.Close()
-		}
-	}()
-	// OpenLog's snapshot already has the diff chain merged in — the file
-	// on disk alone may be stale, so the parsed value is the truth.
-	d, err := distec.NewDynamicFromState(snap, distec.DynamicOptions{Pool: s.pool})
-	if err != nil {
-		return nil, err
-	}
-	// Boot recovery runs before the listener accepts anything: there is no
-	// request whose deadline could bound this replay, and aborting half-way
-	// would just re-run the same work on the next start.
-	//distec:nolint ctxflow
-	if err := distec.ReplayRecords(context.Background(), d, records); err != nil {
-		return nil, err
-	}
-	if want := snap.Seq + uint64(len(records)); d.Seq() != want {
-		return nil, fmt.Errorf("replayed to seq %d, want %d", d.Seq(), want)
-	}
-	// Never re-serve a coloring that does not independently verify.
-	if err := d.Verify(); err != nil {
-		return nil, fmt.Errorf("recovered coloring invalid: %v", err)
-	}
-	sess := &session{id: id, d: d, log: lg}
-	d.SetJournal(s.journalFunc(lg))
-	// A WAL already past the threshold is compacted now (synchronously:
-	// boot is the cheap moment), so recovery cost stays bounded next time.
-	// A compaction failure poisons the log — registering the session anyway
-	// would 500 every update with no trace of why — so surface it as a
-	// recovery failure and leave the files for the operator (sessionctl).
-	if lg.NeedsCompaction() {
+	d, err := distec.RestoreDynamic(ctx, snap, records, distec.DynamicOptions{Pool: s.pool})
+	if err == nil && lg.NeedsCompaction() {
 		var buf bytes.Buffer
-		if err := d.Snapshot(&buf); err != nil {
-			return nil, fmt.Errorf("boot compaction snapshot: %w", err)
+		if err = d.Snapshot(&buf); err == nil {
+			err = lg.Compact(buf.Bytes())
 		}
-		if err := lg.Compact(buf.Bytes()); err != nil {
-			return nil, fmt.Errorf("boot compaction: %w", err)
+		if err != nil {
+			err = fmt.Errorf("load compaction: %w", err)
 		}
 	}
+	if err != nil {
+		lg.Close()
+		return err
+	}
+	d.SetJournal(distec.JournalTo(lg))
+	sess.d, sess.log = d, lg
 	sess.resident.Store(true)
 	s.residentCount.Add(1)
-	sess.touch()
-	ok = true
-	return sess, nil
-}
-
-// journalFunc builds the session's durability hook: append the applied
-// batch to the WAL and, once the WAL outgrows the threshold, capture a
-// point-in-time snapshot (in memory, under the session lock) and hand the
-// disk work to a background compaction.
-func (s *server) journalFunc(lg *persist.Log) distec.JournalFunc {
-	// The hook captures its own *Log, not the session: rehydration builds a
-	// fresh Dynamic with a fresh hook over a fresh log, so a stale hook can
-	// never append to a log that was swapped out from under it.
-	// scratch is safe to recycle across batches: the journal runs under the
-	// session lock and Append encodes the record before returning.
-	var scratch []persist.Update
-	return func(b distec.JournalBatch) error {
-		if cap(scratch) < len(b.Applied) {
-			scratch = make([]persist.Update, len(b.Applied))
-		}
-		rec := persist.Record{Seq: b.Seq, Updates: scratch[:len(b.Applied)]}
-		for i, up := range b.Applied {
-			op := persist.OpInsert
-			if up.Op == distec.DeleteEdge {
-				op = persist.OpDelete
-			}
-			rec.Updates[i] = persist.Update{Op: op, U: int32(up.U), V: int32(up.V)}
-		}
-		if err := lg.Append(rec); err != nil {
-			return err
-		}
-		if lg.NeedsCompaction() {
-			var buf bytes.Buffer
-			if err := b.Snapshot(&buf); err != nil {
-				return fmt.Errorf("compaction snapshot: %w", err)
-			}
-			return lg.CompactAsync(buf.Bytes())
-		}
-		return nil
-	}
+	return nil
 }
 
 // sweepLoop periodically evicts idle sessions; see sweepIdle.
@@ -1263,7 +1199,7 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sess.log = lg
-		d.SetJournal(s.journalFunc(lg))
+		d.SetJournal(distec.JournalTo(lg))
 	}
 	sess.resident.Store(true)
 	s.residentCount.Add(1)
@@ -1306,14 +1242,9 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, errors.New("no such session"))
 		return
 	}
-	if s.beforeUpdate != nil {
-		s.beforeUpdate()
-	}
-	d, err := s.acquire(r.Context(), sess)
-	if err != nil {
-		s.failAcquire(w, err)
-		return
-	}
+	// The body is checked before acquire: a malformed, empty or oversized
+	// batch must not pay a rehydration (and passivate a neighbor) just to
+	// be refused.
 	var req updateRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -1324,6 +1255,14 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Updates) > maxUpdatesPerBatch {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d updates exceeds the daemon's limit of %d", len(req.Updates), maxUpdatesPerBatch))
+		return
+	}
+	if s.beforeUpdate != nil {
+		s.beforeUpdate()
+	}
+	d, err := s.acquire(r.Context(), sess)
+	if err != nil {
+		s.failAcquire(w, err)
 		return
 	}
 	if d.Edges()+len(req.Updates) > maxSessionEdges {

@@ -5,20 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"github.com/distec/distec"
-	"github.com/distec/distec/internal/persist"
 )
 
 // Passivation keeps the daemon's resident set bounded while the registry
 // holds thousands of durable sessions: the least-recently-used sessions
 // beyond -max-resident drop their in-memory coloring (the truth stays on
 // disk — every acknowledged batch is journaled before its 200), and the
-// next touch rehydrates them through the same open-replay-verify pipeline
-// boot recovery uses. Correctness never depends on the victim being idle:
+// next touch rehydrates them through openSession, the load path boot
+// recovery uses. Correctness never depends on the victim being idle:
 // a batch interrupted by passivation fails with ErrSessionPassivated
 // having journaled nothing, and the handler's single retry replays it
 // in full against the rehydrated state — exactly once end to end.
@@ -41,53 +39,24 @@ func (s *server) acquire(ctx context.Context, sess *session) (*distec.Dynamic, e
 	}
 	// Rehydration I/O under sess.mu is the design, not an accident: the
 	// session must not serve (or passivate again) while half-restored, and
-	// every waiter needs exactly this state before proceeding.
-	//distec:nolint lockio
-	d, err := s.rehydrateLocked(ctx, sess)
-	sess.mu.Unlock()
-	if err == nil {
-		// The rehydrated session may push the resident set past the limit;
-		// make room by passivating the coldest others.
-		s.enforceResidency(sess)
-	}
-	return d, err
-}
-
-// rehydrateLocked rebuilds a passivated session from its directory —
-// open (repairing any torn tail), restore the merged snapshot, replay,
-// verify — and reinstalls it as resident. ctx aborts the replay (the
-// requester's deadline governs how long a rehydration may run). Caller
-// holds sess.mu.
-func (s *server) rehydrateLocked(ctx context.Context, sess *session) (*distec.Dynamic, error) {
+	// every waiter needs exactly this state before proceeding. ctx aborts
+	// the replay: the requester's deadline governs how long a rehydration
+	// may run.
 	start := time.Now()
-	dir := filepath.Join(s.cfg.dataDir, sess.id)
-	lg, snap, records, err := persist.OpenLog(dir, s.persistOptions())
+	//distec:nolint lockio
+	err := s.openSession(ctx, sess)
+	d := sess.d
+	sess.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("rehydrate %s: %w", sess.id, err)
 	}
-	d, err := distec.NewDynamicFromState(snap, distec.DynamicOptions{Pool: s.pool})
-	if err != nil {
-		lg.Close()
-		return nil, fmt.Errorf("rehydrate %s: %w", sess.id, err)
-	}
-	if err := distec.ReplayRecords(ctx, d, records); err != nil {
-		lg.Close()
-		return nil, fmt.Errorf("rehydrate %s: %w", sess.id, err)
-	}
-	// Same contract as boot recovery: never serve a coloring that does not
-	// independently verify.
-	if err := d.Verify(); err != nil {
-		lg.Close()
-		return nil, fmt.Errorf("rehydrate %s: coloring invalid: %v", sess.id, err)
-	}
-	d.SetJournal(s.journalFunc(lg))
-	sess.d, sess.log = d, lg
-	sess.resident.Store(true)
-	s.residentCount.Add(1)
 	s.rehydrations.Inc()
 	s.rehydrateTime.Observe(time.Since(start).Seconds())
 	s.logger.Info("session rehydrated", "session", sess.id, "seq", d.Seq(),
 		"duration_ms", float64(time.Since(start).Microseconds())/1000)
+	// The rehydrated session may push the resident set past the limit;
+	// make room by passivating the coldest others.
+	s.enforceResidency(sess)
 	return d, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/distec/distec"
@@ -15,16 +16,14 @@ import (
 	"github.com/distec/distec/internal/persist/errfs"
 )
 
-// TestRehydrationFailureSurfaces injects corruption into a passivated
-// session's snapshot: the next touch must fail loudly (500, never a wrong
-// coloring), leave the files in place for sessionctl, and leave the other
-// sessions serving.
-func TestRehydrationFailureSurfaces(t *testing.T) {
-	dataDir := t.TempDir()
-	ts, d, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir, maxResident: 1})
-	var ids []string
-	for i := 0; i < 2; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/session", sessionRequest{Graph: graphToSpec(distec.Cycle(4))})
+// createCycleSessions creates n sessions over a 4-cycle and returns their
+// IDs in creation order: under maxResident 1 all but the last end up
+// passivated.
+func createCycleSessions(t *testing.T, baseURL string, n int) []string {
+	t.Helper()
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		resp, body := postJSON(t, baseURL+"/v1/session", sessionRequest{Graph: graphToSpec(distec.Cycle(4))})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("create: status %d: %s", resp.StatusCode, body)
 		}
@@ -34,6 +33,17 @@ func TestRehydrationFailureSurfaces(t *testing.T) {
 		}
 		ids = append(ids, sr.SessionID)
 	}
+	return ids
+}
+
+// TestRehydrationFailureSurfaces injects corruption into a passivated
+// session's snapshot: the next touch must fail loudly (500, never a wrong
+// coloring), leave the files in place for sessionctl, and leave the other
+// sessions serving.
+func TestRehydrationFailureSurfaces(t *testing.T) {
+	dataDir := t.TempDir()
+	ts, d, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir, maxResident: 1})
+	ids := createCycleSessions(t, ts.URL, 2)
 	if d.residentCount.Load() != 1 {
 		t.Fatalf("%d resident, want 1", d.residentCount.Load())
 	}
@@ -60,6 +70,159 @@ func TestRehydrationFailureSurfaces(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy session update: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestRehydrationRefusesEmptyWALRecord appends a checksummed WAL record
+// holding no updates to a passivated session: it replays as no batch, so
+// the restored session would stop one seq short of the WAL head. The touch
+// must fail like boot recovery and sessionctl do — 500, files kept — not
+// serve the stale state as verified.
+func TestRehydrationRefusesEmptyWALRecord(t *testing.T) {
+	dataDir := t.TempDir()
+	ts, d, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir, maxResident: 1})
+	ids := createCycleSessions(t, ts.URL, 2)
+	sess, _ := d.session(ids[0])
+	if sess.resident.Load() {
+		t.Fatal("first session still resident; passivation did not trigger")
+	}
+	dir := filepath.Join(dataDir, ids[0])
+	lg, _, _, err := persist.OpenLog(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Append(persist.Record{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.Get(ts.URL + "/v1/session/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("rehydration over an empty WAL record answered %d, want 500: %s", r.StatusCode, body)
+	}
+	if sess.resident.Load() {
+		t.Fatal("refused rehydration left the session resident")
+	}
+	snap, replay, _, err := persist.ScanDir(dir)
+	if err != nil {
+		t.Fatalf("session files damaged by the refused rehydration: %v", err)
+	}
+	if snap.Seq != 0 || len(replay) != 1 {
+		t.Fatalf("after refused rehydration: snapshot seq %d, %d records, want 0 and 1", snap.Seq, len(replay))
+	}
+}
+
+// TestRehydrationCompactsOversizedWAL boots a daemon whose WAL threshold
+// is below what two passivated-at-boot sessions already hold: touching the
+// passivated one must leave it compacted, as boot recovery leaves the
+// resident one.
+func TestRehydrationCompactsOversizedWAL(t *testing.T) {
+	const batches, compactBytes = 4, 64
+	dataDir := t.TempDir()
+	ts, _, crash := startDiskDaemon(t, dataDir)
+	ids := createCycleSessions(t, ts.URL, 2)
+	chords := []distec.Update{
+		{Op: distec.InsertEdge, U: 0, V: 2},
+		{Op: distec.InsertEdge, U: 1, V: 3},
+		{Op: distec.DeleteEdge, U: 0, V: 2},
+		{Op: distec.DeleteEdge, U: 1, V: 3},
+	}
+	for _, id := range ids {
+		for _, up := range chords[:batches] {
+			resp, body := postJSON(t, ts.URL+"/v1/session/"+id+"/update", updateRequest{Updates: []distec.Update{up}})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("update: status %d: %s", resp.StatusCode, body)
+			}
+		}
+	}
+	crash()
+
+	ts2, d2, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir, maxResident: 1, compactBytes: compactBytes})
+	var cold string
+	for _, id := range ids {
+		sess, ok := d2.session(id)
+		if !ok {
+			t.Fatalf("session %s not recovered", id)
+		}
+		if !sess.resident.Load() {
+			cold = id
+		}
+	}
+	if cold == "" {
+		t.Fatal("no session registered passivated at boot")
+	}
+	dir := filepath.Join(dataDir, cold)
+	_, _, info, err := persist.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.WALBytes <= compactBytes {
+		t.Fatalf("passivated WAL holds %d bytes, want over the %d-byte threshold", info.WALBytes, compactBytes)
+	}
+	r, err := http.Get(ts2.URL + "/v1/session/" + cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	var sr sessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil || r.StatusCode != http.StatusOK {
+		t.Fatalf("rehydrating GET: status %d: %s", r.StatusCode, body)
+	}
+	if !sr.Verified || sr.Seq != batches {
+		t.Fatalf("rehydrated session: verified %v at seq %d, want verified at %d", sr.Verified, sr.Seq, batches)
+	}
+	snap, replay, _, err := persist.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Seq != batches || len(replay) != 0 {
+		t.Fatalf("after rehydration: snapshot seq %d, %d records, want %d and 0 (compacted)", snap.Seq, len(replay), batches)
+	}
+}
+
+// TestPassivatedSessionBadBatchSkipsRehydration sends malformed, empty and
+// oversized batches to a passivated session: each is refused with 400
+// from its body alone, without rehydrating the session (which would also
+// passivate its resident neighbor).
+func TestPassivatedSessionBadBatchSkipsRehydration(t *testing.T) {
+	ts, d, _ := newTestServerCfg(t, daemonConfig{dataDir: t.TempDir(), maxResident: 1})
+	ids := createCycleSessions(t, ts.URL, 2)
+	cold, _ := d.session(ids[0])
+	if cold.resident.Load() {
+		t.Fatal("first session still resident; passivation did not trigger")
+	}
+	oversized, err := json.Marshal(updateRequest{Updates: make([]distec.Update, maxUpdatesPerBatch+1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.rehydrations.Load()
+	for _, tc := range []struct{ name, body string }{
+		{"malformed", `{"updates":`},
+		{"empty", `{"updates":[]}`},
+		{"oversized", string(oversized)},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/session/"+ids[0]+"/update", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s batch: status %d, want 400: %s", tc.name, resp.StatusCode, body)
+		}
+	}
+	if got := d.rehydrations.Load(); got != before {
+		t.Fatalf("refused batches rehydrated the session: rehydrations %d → %d", before, got)
+	}
+	if cold.resident.Load() {
+		t.Fatal("refused batches left the passivated session resident")
 	}
 }
 
@@ -258,18 +421,7 @@ func TestPassivatedSessionTransparentAccess(t *testing.T) {
 func TestPassivatedSessionDelete(t *testing.T) {
 	dataDir := t.TempDir()
 	ts, d, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir, maxResident: 1})
-	var ids []string
-	for i := 0; i < 2; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/session", sessionRequest{Graph: graphToSpec(distec.Cycle(4))})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("create: status %d: %s", resp.StatusCode, body)
-		}
-		var sr sessionResponse
-		if err := json.Unmarshal(body, &sr); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, sr.SessionID)
-	}
+	ids := createCycleSessions(t, ts.URL, 2)
 	if d.residentCount.Load() != 1 {
 		t.Fatalf("%d resident, want 1", d.residentCount.Load())
 	}
@@ -306,7 +458,7 @@ func TestPassivatedSessionDelete(t *testing.T) {
 }
 
 // TestRehydrationHonorsCallerContext pins the context threading through
-// acquire → rehydrateLocked → ReplayRecords: a caller that has already
+// acquire → openSession → distec.RestoreDynamic: a caller that has already
 // given up must not pay for (or pin the session lock through) a full
 // replay, while a live caller still rehydrates transparently.
 func TestRehydrationHonorsCallerContext(t *testing.T) {

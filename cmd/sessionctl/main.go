@@ -216,33 +216,20 @@ func inspectSession(dir string, out io.Writer) error {
 	return nil
 }
 
-// restoreSession recovers one session fully in memory: the effective
-// snapshot (base with the differential-snapshot chain already merged, as
-// ScanDir and OpenLog return it) restored, surviving WAL records replayed
-// in order on the sequential engine. Reading the raw snapshot file instead
-// would silently drop every diff-compacted batch.
-func restoreSession(snap *persist.Snapshot, records []persist.Record) (*distec.Dynamic, error) {
-	d, err := distec.NewDynamicFromState(snap, distec.DynamicOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if err := distec.ReplayRecords(context.Background(), d, records); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
+// verifySession recovers one session fully in memory through the restore
+// path the daemon boots with (distec.RestoreDynamic: snapshot restored,
+// WAL replayed on the sequential engine, head seq checked, coloring
+// verified). The snapshot is the effective one ScanDir returns, with the
+// differential-snapshot chain merged over the base: reading the raw
+// snapshot file instead would silently drop every diff-compacted batch.
 func verifySession(dir string, out io.Writer) error {
 	snap, replay, info, err := persist.ScanDir(dir)
 	if err != nil {
 		return err
 	}
-	d, err := restoreSession(snap, replay)
+	d, err := distec.RestoreDynamic(context.Background(), snap, replay, distec.DynamicOptions{})
 	if err != nil {
 		return err
-	}
-	if err := d.Verify(); err != nil {
-		return fmt.Errorf("recovered coloring invalid: %w", err)
 	}
 	st := d.Stats()
 	note := ""
@@ -263,12 +250,9 @@ func compactSession(dir string, opts persist.Options, out io.Writer) error {
 	}
 	defer lg.Close()
 	before := lg.WALSize()
-	d, err := restoreSession(snap, replay)
+	d, err := distec.RestoreDynamic(context.Background(), snap, replay, distec.DynamicOptions{})
 	if err != nil {
-		return err
-	}
-	if err := d.Verify(); err != nil {
-		return fmt.Errorf("recovered coloring invalid (refusing to compact): %w", err)
+		return fmt.Errorf("refusing to compact: %w", err)
 	}
 	var buf bytes.Buffer
 	if err := d.Snapshot(&buf); err != nil {

@@ -15,7 +15,8 @@ import (
 )
 
 // buildSession persists a real journaled session under dir: an initial
-// snapshot plus batches of WAL records, exactly as the daemon would.
+// snapshot plus batches of WAL records, through the daemon's own journal
+// (distec.JournalTo).
 func buildSession(t *testing.T, dir string, batches int) *distec.Dynamic {
 	t.Helper()
 	return buildSessionOpts(t, dir, batches, persist.Options{}, 0)
@@ -36,17 +37,7 @@ func buildSessionOpts(t *testing.T, dir string, batches int, opts persist.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetJournal(func(b distec.JournalBatch) error {
-		rec := persist.Record{Seq: b.Seq, Updates: make([]persist.Update, len(b.Applied))}
-		for i, up := range b.Applied {
-			op := persist.OpInsert
-			if up.Op == distec.DeleteEdge {
-				op = persist.OpDelete
-			}
-			rec.Updates[i] = persist.Update{Op: op, U: int32(up.U), V: int32(up.V)}
-		}
-		return lg.Append(rec)
-	})
+	d.SetJournal(distec.JournalTo(lg))
 	// Deterministic churn: delete each original edge, insert a fresh pair.
 	for b := 0; b < batches; b++ {
 		u1, v1 := g.Endpoints(distec.EdgeID(b))
@@ -182,7 +173,7 @@ func TestCompact(t *testing.T) {
 	if snap.Seq != 6 || len(replay) != 0 {
 		t.Fatalf("after compact: snapshot seq %d, %d records", snap.Seq, len(replay))
 	}
-	d, err := restoreSession(snap, replay)
+	d, err := distec.RestoreDynamic(context.Background(), snap, replay, distec.DynamicOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +263,7 @@ func TestDiffCompactedSessionTools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := restoreSession(snap, replay)
+	d, err := distec.RestoreDynamic(context.Background(), snap, replay, distec.DynamicOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,35 +347,46 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestUnreplayableWALFails pins the failure mode where the files are
-// intact (every checksum passes) but the recorded updates cannot replay —
-// here a record inserting an out-of-range node. verify must report the
-// session as failed, and compact must refuse to rewrite the snapshot.
+// intact (every checksum passes) but the recorded updates cannot replay:
+// a record inserting an out-of-range node, and a final record holding no
+// updates, which applies no batch and so leaves the session short of the
+// WAL's head seq. verify must report the session as failed (exit 1), and
+// compact must refuse to rewrite the snapshot.
 func TestUnreplayableWALFails(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "sess")
-	buildSession(t, dir, 2)
-	lg, _, _, err := persist.OpenLog(dir, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Append(persist.Record{Seq: 3, Updates: []persist.Update{
-		{Op: persist.OpInsert, U: 9999, V: 9998},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := runCtl(t, "verify", dir)
-	if err == nil || !strings.Contains(out, "FAILED") {
-		t.Fatalf("verify of unreplayable WAL: err=%v\n%s", err, out)
-	}
-	out, err = runCtl(t, "compact", dir)
-	if err == nil || !strings.Contains(out, "FAILED") {
-		t.Fatalf("compact of unreplayable WAL: err=%v\n%s", err, out)
-	}
-	// Refusing means the files are still there, untouched, for inspection.
-	if out, err := runCtl(t, "inspect", dir); err != nil {
-		t.Fatalf("inspect after refused compact: %v\n%s", err, out)
+	for _, tc := range []struct {
+		name    string
+		updates []persist.Update
+	}{
+		{"out-of-range node", []persist.Update{{Op: persist.OpInsert, U: 9999, V: 9998}}},
+		{"empty record", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "sess")
+			buildSession(t, dir, 2)
+			lg, _, _, err := persist.OpenLog(dir, persist.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Append(persist.Record{Seq: 3, Updates: tc.updates}); err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := runCtl(t, "verify", dir)
+			if exitCode(err) != 1 || !strings.Contains(out, "FAILED") {
+				t.Fatalf("verify of unreplayable WAL: exit %d, err=%v\n%s", exitCode(err), err, out)
+			}
+			out, err = runCtl(t, "compact", dir)
+			if err == nil || !strings.Contains(out, "FAILED") {
+				t.Fatalf("compact of unreplayable WAL: err=%v\n%s", err, out)
+			}
+			// Refusing means the files are still there, untouched, for
+			// inspection.
+			if out, err := runCtl(t, "inspect", dir); err != nil {
+				t.Fatalf("inspect after refused compact: %v\n%s", err, out)
+			}
+		})
 	}
 }
 

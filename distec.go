@@ -7,11 +7,10 @@
 //
 // The unit of work is a Graph; algorithms color its edges so that edges
 // sharing an endpoint receive different colors. All algorithms are honest
-// synchronous message-passing programs: they can run on a deterministic
-// sequential engine, with one goroutine per network entity communicating
-// over channels, or on a sharded worker pool that batches messages between
-// cores — with bit-identical results — and they report the number of LOCAL
-// rounds consumed.
+// synchronous message-passing programs: they run on one round executor,
+// either sequentially or sharded across a worker pool that batches
+// messages between cores — with bit-identical results — and they report
+// the number of LOCAL rounds consumed.
 //
 // Quickstart:
 //

@@ -11,7 +11,6 @@ import (
 	"github.com/distec/distec/internal/dynamic"
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/persist"
 	"github.com/distec/distec/internal/trace"
 )
 
@@ -435,8 +434,8 @@ func (d *Dynamic) Seq() uint64 {
 // updates that took effect, and a point-in-time snapshot writer. A journal
 // error surfaces from ApplyBatch wrapped in ErrJournal; the in-memory
 // coloring keeps the batch either way. Install the journal before serving
-// updates (typically right after NewDynamic or after replaying a recovered
-// WAL); a nil fn removes it.
+// updates (typically right after NewDynamic or RestoreDynamic); a nil fn
+// removes it.
 func (d *Dynamic) SetJournal(fn JournalFunc) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -464,136 +463,13 @@ func (d *Dynamic) Close() error {
 // batch in flight fails at its next update boundary without journaling —
 // but the failure is ErrSessionPassivated, telling callers the session's
 // durable state is intact and a fresh instance can be rehydrated from it
-// (NewDynamicFromState plus ReplayRecords). Passivate returns once no
-// update is running, so the caller knows the journal is quiescent and the
-// log can be closed. Read accessors keep working on the passivated
-// instance. A closed session stays closed.
+// (RestoreDynamic). Passivate returns once no update is running, so the
+// caller knows the journal is quiescent and the log can be closed. Read
+// accessors keep working on the passivated instance. A closed session
+// stays closed.
 func (d *Dynamic) Passivate() error {
 	d.state.CompareAndSwap(sessionOpen, sessionPassivated)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return nil
-}
-
-// Snapshot writes a point-in-time snapshot of the session — graph
-// (tombstones included, preserving EdgeIDs), active-edge overlay, coloring,
-// palette/algorithm/seed header, and the applied-batch sequence number —
-// in the checksummed binary format NewDynamicFromSnapshot reads.
-func (d *Dynamic) Snapshot(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Snapshot consistency requires serializing under mu: the encoder must
-	// observe a coloring no update is mutating, so the writer's latency is
-	// deliberately inside the lock.
-	//distec:nolint lockio
-	return d.snapshotLocked(w)
-}
-
-// snapshotLocked encodes the session state; caller holds d.mu (it is also
-// the JournalBatch.Snapshot capture, invoked from inside ApplyBatch).
-func (d *Dynamic) snapshotLocked(w io.Writer) error {
-	g := d.c.Graph()
-	m := g.M()
-	snap := &persist.Snapshot{
-		Algorithm:     string(d.opts.Algorithm),
-		Seed:          d.opts.Seed,
-		ConfigPalette: d.opts.Palette,
-		LivePalette:   d.c.Palette(),
-		Seq:           d.seq,
-		N:             g.N(),
-		EdgeU:         make([]int32, m),
-		EdgeV:         make([]int32, m),
-		Active:        d.c.Active(),
-		Colors:        make([]int32, m),
-	}
-	for e, ed := range g.Edges() {
-		snap.EdgeU[e], snap.EdgeV[e] = ed.U, ed.V
-	}
-	for e, col := range d.c.Colors() {
-		snap.Colors[e] = int32(col)
-	}
-	return persist.WriteSnapshot(w, snap)
-}
-
-// NewDynamicFromSnapshot restores a session from a Snapshot stream: the
-// graph, overlay, coloring, and applied-batch sequence number come from the
-// snapshot, as do the session options (algorithm, palette, seed) — opts
-// contributes only the execution choices (Pool, or Engine/Shards for a
-// one-shot session). The restored coloring is validated like NewDynamicFrom
-// validates a fresh one. To finish a crash recovery, replay the session's
-// write-ahead log records beyond the snapshot's sequence number through
-// ApplyBatch, in order, before installing a journal.
-func NewDynamicFromSnapshot(r io.Reader, opts DynamicOptions) (*Dynamic, error) {
-	snap, err := persist.ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewDynamicFromState(snap, opts)
-}
-
-// NewDynamicFromState is NewDynamicFromSnapshot for an already-parsed
-// snapshot — the state OpenLog or ScanDir hands back with the
-// differential-snapshot chain merged, or the one a replication stream
-// carries. Like ReplayRecords, the parameter type lives in an internal
-// package, making this module plumbing; external callers restore from the
-// encoded stream.
-func NewDynamicFromState(snap *persist.Snapshot, opts DynamicOptions) (*Dynamic, error) {
-	var err error
-	switch Algorithm(snap.Algorithm) {
-	case "", BKO, BKOTheory, PR01, GreedyClasses, Randomized, Vizing:
-	default:
-		return nil, fmt.Errorf("distec: snapshot names unknown algorithm %q", snap.Algorithm)
-	}
-	g := NewGraph(snap.N)
-	for e := range snap.EdgeU {
-		if _, err := g.AddEdge(int(snap.EdgeU[e]), int(snap.EdgeV[e])); err != nil {
-			return nil, fmt.Errorf("distec: snapshot edge %d: %w", e, err)
-		}
-	}
-	o := opts.Options
-	o.Algorithm = Algorithm(snap.Algorithm)
-	o.Palette = snap.ConfigPalette
-	o.Seed = snap.Seed
-	d := &Dynamic{opts: o, pool: opts.Pool, seq: snap.Seq}
-	if d.pool == nil {
-		if d.engine, err = o.engine(); err != nil {
-			return nil, err
-		}
-	}
-	colors := make([]int, len(snap.Colors))
-	for e, col := range snap.Colors {
-		colors[e] = int(col)
-	}
-	d.c, err = dynamic.Restore(g, snap.Active, colors, snap.LivePalette, dynamic.Options{
-		Palette:          o.Palette,
-		AutoDeltaPlusOne: o.Algorithm == Vizing,
-		Repair:           d.repairSubinstance,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// ReplayRecords applies recovered write-ahead-log records to a restored
-// session in order — the shared replay step behind edgecolord's boot
-// recovery and sessionctl's offline verification, kept in one place so the
-// op mapping cannot diverge between them. The record type lives in an
-// internal package, making this module plumbing; external callers drive
-// ApplyBatch directly.
-func ReplayRecords(ctx context.Context, d *Dynamic, records []persist.Record) error {
-	for _, rec := range records {
-		updates := make([]Update, len(rec.Updates))
-		for i, up := range rec.Updates {
-			op := InsertEdge
-			if up.Op == persist.OpDelete {
-				op = DeleteEdge
-			}
-			updates[i] = Update{Op: op, U: int(up.U), V: int(up.V)}
-		}
-		if _, err := d.ApplyBatch(ctx, updates); err != nil {
-			return fmt.Errorf("distec: replay batch %d: %w", rec.Seq, err)
-		}
-	}
 	return nil
 }

@@ -13,29 +13,15 @@ import (
 	"github.com/distec/distec/internal/persist"
 )
 
-// journalOn wires a session to a persist.Log exactly as the daemon does:
-// every applied batch becomes one WAL record.
+// journalOn wires a session to a persist.Log exactly as the daemon does,
+// through JournalTo: every applied batch becomes one WAL record.
 func journalOn(b *testing.B, d *Dynamic, dir string, opts persist.Options) *persist.Log {
 	b.Helper()
 	lg, err := persist.CreateLog(dir, d.Snapshot, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var scratch []persist.Update
-	d.SetJournal(func(jb JournalBatch) error {
-		if cap(scratch) < len(jb.Applied) {
-			scratch = make([]persist.Update, len(jb.Applied))
-		}
-		rec := persist.Record{Seq: jb.Seq, Updates: scratch[:len(jb.Applied)]}
-		for i, up := range jb.Applied {
-			op := persist.OpInsert
-			if up.Op == DeleteEdge {
-				op = persist.OpDelete
-			}
-			rec.Updates[i] = persist.Update{Op: op, U: int32(up.U), V: int32(up.V)}
-		}
-		return lg.Append(rec)
-	})
+	d.SetJournal(JournalTo(lg))
 	return lg
 }
 
@@ -49,7 +35,8 @@ func journalOn(b *testing.B, d *Dynamic, dir string, opts persist.Options) *pers
 //     Compaction is disabled here so the numbers isolate the append path;
 //     its cost has its own benchmark below.
 //   - recovery/*: full crash recovery (OpenLog with tail repair +
-//     snapshot restore + WAL replay) against WAL length.
+//     RestoreDynamic: snapshot restore, WAL replay, seq check and Verify)
+//     against WAL length.
 //   - compact: one compaction of the 10⁵-edge session — the in-memory
 //     snapshot capture under the session lock plus the synchronous disk
 //     work the daemon normally backgrounds.
@@ -116,20 +103,12 @@ func BenchmarkPersist(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lg, _, records, err := persist.OpenLog(dir, persist.Options{})
+				lg, snap, records, err := persist.OpenLog(dir, persist.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				f, err := os.Open(filepath.Join(dir, persist.SnapshotFile))
+				r, err := RestoreDynamic(context.Background(), snap, records, DynamicOptions{})
 				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := NewDynamicFromSnapshot(f, DynamicOptions{})
-				f.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ReplayRecords(context.Background(), r, records); err != nil {
 					b.Fatal(err)
 				}
 				if r.Seq() != uint64(walLen) {
@@ -218,14 +197,7 @@ func BenchmarkPassivation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := NewDynamicFromState(snap, DynamicOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ReplayRecords(context.Background(), r, records); err != nil {
-					b.Fatal(err)
-				}
-				if err := r.Verify(); err != nil {
+				if _, err := RestoreDynamic(context.Background(), snap, records, DynamicOptions{}); err != nil {
 					b.Fatal(err)
 				}
 				lg.Close()
