@@ -102,18 +102,31 @@ func BenchmarkDefectiveColoring(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverBKO times one practical-preset solve and reports its
+// allocations: d8 at smoke scale, d64 at the Δ = 64 shape of the e2ebench
+// d64 workload (RandomRegular(800, 64), 25.6k edges).
 func BenchmarkSolverBKO(b *testing.B) {
-	g := graph.RandomRegular(256, 8, 4)
-	in := listcolor.NewUniform(g, 2*g.MaxDegree()-1)
-	var rounds int
-	for i := 0; i < b.N; i++ {
-		res, err := core.SolveGraph(in, core.Practical(), local.Sequential)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = res.Stats.Rounds
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"d8", graph.RandomRegular(256, 8, 4)},
+		{"d64", graph.RandomRegular(800, 64, 4)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			in := listcolor.NewUniform(bc.g, 2*bc.g.MaxDegree()-1)
+			b.ReportAllocs()
+			var rounds int
+			for i := 0; i < b.N; i++ {
+				res, err := core.SolveGraph(in, core.Practical(), local.Sequential)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds = res.Stats.Rounds
+			}
+			b.ReportMetric(float64(rounds), "LOCALrounds")
+		})
 	}
-	b.ReportMetric(float64(rounds), "LOCALrounds")
 }
 
 func BenchmarkSolverPR01(b *testing.B) {

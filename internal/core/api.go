@@ -59,26 +59,24 @@ func SpaceReduceOnce(pairs [][2]int64, active []bool, lists [][]int, c, p int, p
 		run = local.Sequential
 	}
 	m := len(pairs)
-	if active == nil {
-		active = make([]bool, m)
-		for i := range active {
-			active[i] = true
-		}
-	}
 	s := &Solver{params: params, run: run, trace: &Trace{}}
-	prep, err := s.prepare(pairs, active)
+	orig := compactActive(active)
+	in := assignInput{pairs: pairs, lists: lists, size: c, p: p, depth: 0}
+	if orig != nil {
+		in.pairs, in.lists = gather(pairs, orig), gather(lists, orig)
+	}
+	in.lo = make([]int, len(in.pairs))
+	base, prep, err := s.prepare(in.pairs, orig, m)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.assignSubspaces(assignInput{
-		pairs: pairs, active: active, lists: lists, lo: make([]int, m),
-		size: c, p: p, depth: 0,
-	})
+	in.base = base
+	res, err := s.assignSubspaces(in, newSideIndex(in.pairs))
 	if err != nil {
 		return nil, err
 	}
 	return &SpaceReduceResult{
-		Assign:    res.assign,
+		Assign:    scatter(res.assign, orig, m),
 		Partition: res.pt,
 		Stats:     res.stats,
 		PrepStats: prep,
@@ -87,24 +85,23 @@ func SpaceReduceOnce(pairs [][2]int64, active []bool, lists [][]int, c, p int, p
 }
 
 // prepare computes the global O(Δ̄²) initial coloring (Theorem 4.1's
-// O(log* n) preamble) and installs it on the solver.
-func (s *Solver) prepare(pairs [][2]int64, active []bool) (local.Stats, error) {
-	m := len(pairs)
-	full := local.PairConflict(pairs)
-	sub, orig, _ := local.Induced(full, active, nil)
-	init := make([]int, sub.N())
-	for i, oe := range orig {
-		init[i] = oe
+// O(log* n) preamble) of the compact top-level pair system and returns it,
+// indexed like pairs. Item i is item orig[i] of the caller's m items (orig
+// nil: the identity); Linial starts from those original indices.
+func (s *Solver) prepare(pairs [][2]int64, orig []int32, m int) ([]int, local.Stats, error) {
+	t := local.PairConflict(pairs)
+	init := make([]int, t.N())
+	for i := range init {
+		init[i] = i
+		if orig != nil {
+			init[i] = int(orig[i])
+		}
 	}
 	local.SetSpanLabel(s.run, "linial")
-	cols, st, err := linial.Reduce(sub, init, m, s.run)
+	cols, st, err := linial.Reduce(t, init, m, s.run)
 	if err != nil {
-		return st, fmt.Errorf("core: initial Linial coloring: %w", err)
+		return nil, st, fmt.Errorf("core: initial Linial coloring: %w", err)
 	}
-	s.baseCols = make([]int, m)
-	for i, oe := range orig {
-		s.baseCols[oe] = cols[i]
-	}
-	s.baseX = linial.Colors(m, sub.MaxDeg)
-	return st, nil
+	s.baseX = linial.Colors(m, t.MaxDeg)
+	return cols, st, nil
 }

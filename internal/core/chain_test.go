@@ -8,18 +8,16 @@ import (
 )
 
 // newTestSolver builds a Solver with the global initial coloring prepared,
-// for white-box tests of the internal lemma implementations.
-func newTestSolver(t *testing.T, pairs [][2]int64, params Params) *Solver {
+// for white-box tests of the internal lemma implementations. It returns
+// the coloring, which every instance over pairs takes as its base.
+func newTestSolver(t *testing.T, pairs [][2]int64, params Params) (*Solver, []int) {
 	t.Helper()
 	s := &Solver{params: params, run: local.Sequential, trace: &Trace{}}
-	active := make([]bool, len(pairs))
-	for i := range active {
-		active[i] = true
-	}
-	if _, err := s.prepare(pairs, active); err != nil {
+	base, _, err := s.prepare(pairs, nil, len(pairs))
+	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	return s
+	return s, base
 }
 
 func graphPairsOf(g *graph.Graph) [][2]int64 {
@@ -44,15 +42,13 @@ func TestSolveSlackSStrictHighSlack(t *testing.T) {
 		palette[i] = i
 	}
 	lists := make([][]int, g.M())
-	active := make([]bool, g.M())
 	for e := range lists {
 		lists[e] = palette
-		active[e] = true
 	}
 	params := Practical()
 	params.Strict = true
-	s := newTestSolver(t, pairs, params)
-	colors, stats, err := s.solveSlackS(instance{pairs: pairs, active: active, lists: lists, c: c}, 0)
+	s, base := newTestSolver(t, pairs, params)
+	colors, stats, err := s.solveSlackS(instance{pairs: pairs, lists: lists, base: base, c: c}, 0)
 	if err != nil {
 		t.Fatalf("solveSlackS strict: %v", err)
 	}
@@ -85,7 +81,6 @@ func TestSolveSlackSDefersPracticalTightSlack(t *testing.T) {
 	pairs := graphPairsOf(g)
 	c := 24 // lists of 21..24 colors: almost no slack for a chain
 	lists := make([][]int, g.M())
-	active := make([]bool, g.M())
 	for e := range lists {
 		deg := g.EdgeDegree(graph.EdgeID(e))
 		l := make([]int, deg+2)
@@ -93,10 +88,9 @@ func TestSolveSlackSDefersPracticalTightSlack(t *testing.T) {
 			l[i] = i
 		}
 		lists[e] = l
-		active[e] = true
 	}
-	s := newTestSolver(t, pairs, Practical())
-	colors, _, err := s.solveSlackS(instance{pairs: pairs, active: active, lists: lists, c: c}, 0)
+	s, base := newTestSolver(t, pairs, Practical())
+	colors, _, err := s.solveSlackS(instance{pairs: pairs, lists: lists, base: base, c: c}, 0)
 	if err != nil {
 		t.Fatalf("practical chain must not error: %v", err)
 	}
@@ -127,13 +121,11 @@ func TestSolveSlack1OnVirtualStylePairs(t *testing.T) {
 	m := len(pairs)
 	c := 8
 	lists := make([][]int, m)
-	active := make([]bool, m)
 	for i := range lists {
 		lists[i] = []int{0, 1, 2, 3, 4, 5, 6, 7}
-		active[i] = true
 	}
-	s := newTestSolver(t, pairs, Practical())
-	colors, _, err := s.solveSlack1(instance{pairs: pairs, active: active, lists: lists, c: c}, 0)
+	s, base := newTestSolver(t, pairs, Practical())
+	colors, _, err := s.solveSlack1(instance{pairs: pairs, lists: lists, base: base, c: c}, 0)
 	if err != nil {
 		t.Fatalf("solveSlack1: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/distec/distec/internal/graph"
@@ -9,15 +10,16 @@ import (
 )
 
 // TestBuildVirtualPairsDeterministic pins the fix for the map-order bug
-// in buildVirtualPairs: virtual side-key IDs are interned in first-seen
-// order, so iterating sideIdx directly minted IDs in map-iteration
-// order and two runs over the same input could disagree. Every run must
-// now produce the identical virtual pair system.
+// in buildVirtualPairs: virtual side-key IDs are numbered in first-seen
+// order, so walking side keys in map-iteration order minted IDs that two
+// runs over the same input could disagree on. Every run, on a fresh side
+// index each time, must now produce the identical virtual pair system,
+// and IDs must follow ascending side-key order.
 func TestBuildVirtualPairsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const m, keys = 400, 60
 	pairs := make([][2]int64, m)
-	isMember := make(map[int]bool, m)
+	var members []int32
 	for e := range pairs {
 		a := rng.Int63n(keys)
 		b := rng.Int63n(keys)
@@ -26,31 +28,38 @@ func TestBuildVirtualPairsDeterministic(t *testing.T) {
 		}
 		pairs[e] = [2]int64{a, b}
 		if e%3 != 0 {
-			isMember[e] = true
+			members = append(members, int32(e))
 		}
-	}
-	active := make([]bool, m)
-	for e := range active {
-		active[e] = true
 	}
 
-	var refPairs [][2]int64
-	var refActive []bool
-	// Rebuild sideIdx fresh each iteration: distinct map instances
-	// iterate in distinct orders, which is exactly what leaked before.
+	var ref [][2]int64
 	for trial := 0; trial < 25; trial++ {
-		sideIdx := buildSideIndex(pairs, active)
-		vp, va := buildVirtualPairs(pairs, sideIdx, isMember, 4, m)
+		vp := buildVirtualPairs(newSideIndex(pairs), members, 4)
 		if trial == 0 {
-			refPairs, refActive = vp, va
+			ref = vp
 			continue
 		}
-		for e := range vp {
-			if vp[e] != refPairs[e] || va[e] != refActive[e] {
-				t.Fatalf("trial %d: item %d got pair %v active %v, first run had %v %v",
-					trial, e, vp[e], va[e], refPairs[e], refActive[e])
+		for i := range vp {
+			if vp[i] != ref[i] {
+				t.Fatalf("trial %d: member %d got pair %v, first run had %v", trial, members[i], vp[i], ref[i])
 			}
 		}
+	}
+	// The walk starts at the lowest side key: its first member takes
+	// virtual key 0 there.
+	low := int64(keys)
+	for _, e := range members {
+		low = min(low, pairs[e][0], pairs[e][1])
+	}
+	for i, e := range members {
+		side := slices.Index(pairs[e][:], low)
+		if side < 0 {
+			continue
+		}
+		if ref[i][side] != 0 {
+			t.Fatalf("member %d, first on key %d: virtual pair %v, want virtual key 0 there", e, low, ref[i])
+		}
+		break
 	}
 }
 

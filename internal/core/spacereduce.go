@@ -10,22 +10,23 @@ import (
 )
 
 // assignInput is one invocation of the list color space reduction
-// (Lemma 4.3) over the current conflict system. Each active item owns a
-// palette interval [lo[i], lo[i]+size) — items sharing a side key always
-// share an interval, because the Lemma 4.5 chain refines side keys and
-// intervals together — and a list of absolute colors inside its interval.
+// (Lemma 4.3) over a compact conflict system: every item takes part. Each
+// item owns a palette interval [lo[i], lo[i]+size) — items sharing a side
+// key always share an interval, because the Lemma 4.5 chain refines side
+// keys and intervals together — and a list of absolute colors inside its
+// interval. base is the global initial coloring of the items.
 type assignInput struct {
-	pairs  [][2]int64
-	active []bool
-	lists  [][]int
-	lo     []int
-	size   int
-	p      int
-	depth  int
+	pairs [][2]int64
+	lists [][]int
+	lo    []int
+	base  []int
+	size  int
+	p     int
+	depth int
 }
 
-// assignResult carries the chosen subspace index per item (−1 for inactive
-// or deferred items), the partition used, and the LOCAL cost.
+// assignResult carries the chosen subspace index per item (−1 for deferred
+// items), the partition used, and the LOCAL cost.
 type assignResult struct {
 	assign []int
 	pt     Partition
@@ -33,46 +34,42 @@ type assignResult struct {
 }
 
 // assignSubspaces implements Lemma 4.3: assign one of the q ≤ 2p palette
-// subspaces to every active item so that Eq. (2) holds —
+// subspaces to every item so that Eq. (2) holds —
 // deg′(e) ≤ 24·H_q·log p · |L′e|/|Le| · deg(e) — in
-// (log p)·(1 + T(2p−1, 1, 2p)) rounds.
-func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
+// (log p)·(1 + T(2p−1, 1, 2p)) rounds. ix is the side index of in.pairs.
+func (s *Solver) assignSubspaces(in assignInput, ix *sideIndex) (assignResult, error) {
 	local.SetSpanLabel(s.run, "chain")
-	m := len(in.pairs)
+	n := len(in.pairs)
 	pt := MakePartition(in.size, in.p)
 	q := pt.Q
-	res := assignResult{assign: make([]int, m), pt: pt}
+	res := assignResult{assign: make([]int, n), pt: pt}
 	for i := range res.assign {
 		res.assign[i] = -1
 	}
+	deg := ix.degrees(nil)
 
-	// Side index and active degrees of the current system.
-	sideIdx := buildSideIndex(in.pairs, in.active)
-	deg := activeDegrees(in.pairs, in.active, sideIdx)
-
-	// Per-item partition counts and levels (all local computation).
-	counts := make([][]int, m)
-	level := make([]int, m)
+	// Per-item partition counts and levels (all local computation);
+	// counts[e] is item e's row of one flat table.
+	flat := make([]int, n*q)
+	counts := make([][]int, n)
+	level := make([]int, n)
 	maxLevel := int(math.Log2(float64(q)))
-	for e := 0; e < m; e++ {
-		if !in.active[e] {
-			continue
-		}
-		offsets := make([]int, len(in.lists[e]))
-		for i, c := range in.lists[e] {
-			offsets[i] = c - in.lo[e]
-			if offsets[i] < 0 || offsets[i] >= in.size {
+	for e, l := range in.lists {
+		counts[e] = flat[e*q : (e+1)*q : (e+1)*q]
+		for _, c := range l {
+			off := c - in.lo[e]
+			if off < 0 || off >= in.size {
 				return res, fmt.Errorf("core: item %d color %d outside its interval [%d,%d)", e, c, in.lo[e], in.lo[e]+in.size)
 			}
+			counts[e][pt.PartOf(off)]++
 		}
-		counts[e] = pt.Counts(offsets)
-		l, ok := Level(counts[e], len(in.lists[e]))
+		lv, ok := Level(counts[e], len(l))
 		if !ok {
 			return res, fmt.Errorf("core: item %d has no level (Lemma 4.4 violated — bug)", e)
 		}
-		level[e] = l
-		if l < len(s.trace.LevelHistogram) {
-			s.trace.LevelHistogram[l]++
+		level[e] = lv
+		if lv < len(s.trace.LevelHistogram) {
+			s.trace.LevelHistogram[lv]++
 		}
 	}
 
@@ -80,23 +77,21 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	// the largest intersection; no phases, no Eq. (2) guarantee (the audit
 	// below still measures the damage, but never asserts).
 	if s.params.DirectAssignment {
-		for e := 0; e < m; e++ {
-			if in.active[e] {
-				res.assign[e] = sortedByCountDesc(counts[e])[0]
-				s.trace.DirectAssigns++
-			}
+		for e := range res.assign {
+			res.assign[e] = largestPart(counts[e])
+			s.trace.DirectAssigns++
 		}
 		res.stats.Rounds++ // announcing the choice
-		return res, s.auditEq2(in, res, counts, deg, sideIdx, false)
+		return res, s.auditEq2(in, ix, res, counts, deg, false)
 	}
 
 	// Levels ≤ 3: pick the largest intersection directly. Even if every
 	// neighbor chose the same subspace, |L′| ≥ |L|/(16·H_q) satisfies
 	// Eq. (2). One announcement round, charged at the end alongside the
 	// phase schedule.
-	for e := 0; e < m; e++ {
-		if in.active[e] && level[e] <= 3 {
-			res.assign[e] = sortedByCountDesc(counts[e])[0]
+	for e := range res.assign {
+		if level[e] <= 3 {
+			res.assign[e] = largestPart(counts[e])
 			s.trace.DirectAssigns++
 		}
 	}
@@ -105,16 +100,16 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	// E(1): level > 3 and deg ≥ 2^level, processed in phases ℓ = 4..⌊log q⌋.
 	// E(2): level > 3 and deg < 2^level, processed after all phases.
 	for l := 4; l <= maxLevel; l++ {
-		var members []int
-		for e := 0; e < m; e++ {
-			if in.active[e] && level[e] == l && deg[e] >= 1<<l {
-				members = append(members, e)
+		var members []int32
+		for e, lv := range level {
+			if lv == l && deg[e] >= 1<<l {
+				members = append(members, int32(e))
 			}
 		}
 		if len(members) == 0 {
 			continue
 		}
-		st, err := s.runPhase(in, res.assign, counts, deg, sideIdx, members, l)
+		st, err := s.runPhase(in, ix, res.assign, counts, deg, members, l)
 		seq(&res.stats, st)
 		if err != nil {
 			return res, err
@@ -122,14 +117,14 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	}
 
 	// E(2).
-	var e2 []int
-	for e := 0; e < m; e++ {
-		if in.active[e] && level[e] > 3 && deg[e] < 1<<level[e] {
-			e2 = append(e2, e)
+	var e2 []int32
+	for e, lv := range level {
+		if lv > 3 && deg[e] < 1<<lv {
+			e2 = append(e2, int32(e))
 		}
 	}
 	if len(e2) > 0 {
-		st, err := s.runE2(in, res.assign, counts, level, sideIdx, e2)
+		st, err := s.runE2(in, ix, res.assign, counts, level, e2)
 		seq(&res.stats, st)
 		if err != nil {
 			return res, err
@@ -138,27 +133,41 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 
 	// Eq. (2) audit: measure the worst degradation factor and, in strict
 	// mode, assert the paper's bound.
-	return res, s.auditEq2(in, res, counts, deg, sideIdx, s.params.Strict)
+	return res, s.auditEq2(in, ix, res, counts, deg, s.params.Strict)
+}
+
+// largestPart returns the part with the largest count, the lowest index
+// among ties: the first entry of sortedByCountDesc, without the sort.
+func largestPart(counts []int) int {
+	best := 0
+	for j, c := range counts {
+		if c > counts[best] {
+			best = j
+		}
+	}
+	return best
 }
 
 // auditEq2 measures the Eq. (2) degradation factor of every assigned item
 // and, when assert is set, errors if the paper's bound
 // 24·H_q·log p · |L′e|/|Le| is exceeded.
-func (s *Solver) auditEq2(in assignInput, res assignResult, counts [][]int, deg []int, sideIdx map[int64][]int32, assert bool) error {
+func (s *Solver) auditEq2(in assignInput, ix *sideIndex, res assignResult, counts [][]int, deg []int, assert bool) error {
 	bound := 24 * Harmonic(res.pt.Q) * math.Max(1, math.Log2(float64(in.p)))
-	for e := range in.pairs {
-		if !in.active[e] || res.assign[e] < 0 || deg[e] == 0 {
+	for e, j := range res.assign {
+		if j < 0 || deg[e] == 0 {
 			continue
 		}
 		degPrime := 0
-		forEachNeighbor(in.pairs, sideIdx, e, func(f int) {
-			if res.assign[f] == res.assign[e] {
-				degPrime++
+		for _, k := range ix.slots[e] {
+			for _, f := range ix.at(k) {
+				if int(f) != e && res.assign[f] == j {
+					degPrime++
+				}
 			}
-		})
-		newLen := counts[e][res.assign[e]]
+		}
+		newLen := counts[e][j]
 		if newLen == 0 {
-			return fmt.Errorf("core: item %d assigned empty subspace %d (bug)", e, res.assign[e])
+			return fmt.Errorf("core: item %d assigned empty subspace %d (bug)", e, j)
 		}
 		factor := float64(degPrime) * float64(len(in.lists[e])) / (float64(newLen) * float64(deg[e]))
 		if factor > s.trace.Eq2Worst {
@@ -175,29 +184,27 @@ func (s *Solver) auditEq2(in assignInput, res assignResult, counts [][]int, deg 
 // runPhase executes phase ℓ of the E(1) machinery: compute Je for every
 // member, split nodes into virtual copies of ≤ 2^(ℓ−2) phase edges, and
 // solve the (deg(e)+1)-list coloring on the virtual graph with palette q.
-func (s *Solver) runPhase(in assignInput, assign []int, counts [][]int, deg []int, sideIdx map[int64][]int32, members []int, l int) (local.Stats, error) {
+func (s *Solver) runPhase(in assignInput, ix *sideIndex, assign []int, counts [][]int, deg []int, members []int32, l int) (local.Stats, error) {
 	var stats local.Stats
 	stats.Rounds++ // learn neighbors' prior assignments (Je determination)
 	s.trace.PhaseInstances++
 
-	isMember := make(map[int]bool, len(members))
-	for _, e := range members {
-		isMember[e] = true
-	}
-
 	// Je: candidate subspaces with large intersection and few prior takers.
-	je := make(map[int][]int, len(members))
-	for _, e := range members {
-		takers := make([]int, len(counts[e]))
-		forEachNeighbor(in.pairs, sideIdx, e, func(f int) {
-			if assign[f] >= 0 {
-				takers[assign[f]]++
+	q := len(counts[members[0]])
+	takers := make([]int, q)
+	je := make([][]int, len(members))
+	for i, e := range members {
+		clear(takers)
+		for _, k := range ix.slots[e] {
+			for _, f := range ix.at(k) {
+				if f != e && assign[f] >= 0 {
+					takers[assign[f]]++
+				}
 			}
-		})
-		cands := LevelCandidates(counts[e], len(in.lists[e]), l)
+		}
 		budget := deg[e] / (1 << (l - 1))
 		var keep []int
-		for _, j := range cands {
+		for _, j := range LevelCandidates(counts[e], len(in.lists[e]), l) {
 			if takers[j] <= budget {
 				keep = append(keep, j)
 			}
@@ -207,44 +214,47 @@ func (s *Solver) runPhase(in assignInput, assign []int, counts [][]int, deg []in
 			return stats, fmt.Errorf("core: phase %d item %d has |Je|=%d < 2^(ℓ−1)=%d (Lemma 4.3 bookkeeping violated)",
 				l, e, len(keep), 1<<(l-1))
 		}
-		je[e] = keep
+		je[i] = keep
 	}
 
 	// Virtual graph: each side key splits its phase members into groups of
 	// at most 2^(ℓ−2); the virtual line-graph degree is ≤ 2^(ℓ−1)−2.
-	groupSize := 1 << (l - 2)
-	virtualPairs, active := buildVirtualPairs(in.pairs, sideIdx, isMember, groupSize, len(in.pairs))
+	virtual := buildVirtualPairs(ix, members, 1<<(l-2))
+	vix := newSideIndex(virtual)
 
-	// The assignment instance: lists are the Je sets over palette {0..q−1}.
-	lists := make([][]int, len(in.pairs))
-	for _, e := range members {
-		lists[e] = je[e]
-	}
-	vdeg := activeDegrees(virtualPairs, active, nil)
-	for _, e := range members {
-		if vdeg[e] > (1<<(l-1))-2 {
-			return stats, fmt.Errorf("core: phase %d virtual degree %d exceeds 2^(ℓ−1)−2=%d (bug)", l, vdeg[e], (1<<(l-1))-2)
+	// The assignment instance: lists are the Je sets over palette {0..q−1},
+	// on the members whose Je beats their virtual degree.
+	var kept []int32 // positions in members
+	for i, e := range members {
+		vdeg := vix.degree(i)
+		if vdeg > (1<<(l-1))-2 {
+			return stats, fmt.Errorf("core: phase %d virtual degree %d exceeds 2^(ℓ−1)−2=%d (bug)", l, vdeg, (1<<(l-1))-2)
 		}
-		if len(je[e]) <= vdeg[e] {
+		if len(je[i]) <= vdeg {
 			if s.params.Strict {
-				return stats, fmt.Errorf("core: phase %d item %d: |Je|=%d ≤ virtual degree %d", l, e, len(je[e]), vdeg[e])
+				return stats, fmt.Errorf("core: phase %d item %d: |Je|=%d ≤ virtual degree %d", l, e, len(je[i]), vdeg)
 			}
 			// Practical mode: defer this item; shrink its footprint.
 			s.trace.Deferred++
-			active[e] = false
-			isMember[e] = false
+			continue
 		}
+		kept = append(kept, int32(i))
 	}
-
-	choice, st, err := s.solveVirtual(instance{pairs: virtualPairs, active: active, lists: lists, c: MakePartition(in.size, in.p).Q}, in.depth)
+	vinst := instance{
+		pairs: gather(virtual, kept),
+		lists: gather(je, kept),
+		base:  gather(in.base, gather(members, kept)),
+		c:     q,
+	}
+	choice, st, err := s.solveVirtual(vinst, in.depth)
 	seq(&stats, st)
 	if err != nil {
 		return stats, err
 	}
-	for _, e := range members {
-		if isMember[e] && choice[e] >= 0 {
-			assign[e] = choice[e]
-		} else if isMember[e] {
+	for i, k := range kept {
+		if choice[i] >= 0 {
+			assign[members[k]] = choice[i]
+		} else {
 			s.trace.Deferred++
 		}
 	}
@@ -255,33 +265,37 @@ func (s *Solver) runPhase(in assignInput, assign []int, counts [][]int, deg []in
 // phases: each picks among its > deg(e) non-empty candidate subspaces one
 // that no already-assigned neighbor took, via a (deg+1)-list coloring over
 // the E(2) subsystem with palette q.
-func (s *Solver) runE2(in assignInput, assign []int, counts [][]int, level []int, sideIdx map[int64][]int32, e2 []int) (local.Stats, error) {
+func (s *Solver) runE2(in assignInput, ix *sideIndex, assign []int, counts [][]int, level []int, e2 []int32) (local.Stats, error) {
 	var stats local.Stats
 	stats.Rounds++ // learn the subspaces taken by assigned neighbors
 	s.trace.E2Instances++
 
-	m := len(in.pairs)
-	active := make([]bool, m)
-	lists := make([][]int, m)
-	inE2 := make(map[int]bool, len(e2))
+	inE2 := make([]bool, len(in.pairs))
 	for _, e := range e2 {
 		inE2[e] = true
 	}
+	lists := make([][]int, len(e2))
+	taken := make([]bool, len(counts[e2[0]]))
 	for {
 		changed := false
-		for _, e := range e2 {
+		for i, e := range e2 {
 			if !inE2[e] {
 				continue
 			}
-			taken := make([]bool, len(counts[e]))
+			clear(taken)
 			degE2 := 0
-			forEachNeighbor(in.pairs, sideIdx, e, func(f int) {
-				if assign[f] >= 0 {
-					taken[assign[f]] = true
-				} else if inE2[f] {
-					degE2++
+			for _, k := range ix.slots[e] {
+				for _, f := range ix.at(k) {
+					if f == e {
+						continue
+					}
+					if assign[f] >= 0 {
+						taken[assign[f]] = true
+					} else if inE2[f] {
+						degE2++
+					}
 				}
-			})
+			}
 			var free []int
 			for _, j := range LevelCandidates(counts[e], len(in.lists[e]), level[e]) {
 				if !taken[j] {
@@ -298,33 +312,31 @@ func (s *Solver) runE2(in assignInput, assign []int, counts [][]int, level []int
 				changed = true
 				continue
 			}
-			active[e] = true
-			lists[e] = free
+			lists[i] = free
 		}
 		if !changed {
 			break
 		}
-		for e := range active {
-			active[e] = false
-		}
 	}
-	for _, e := range e2 {
+	var kept []int32 // positions in e2
+	for i, e := range e2 {
 		if inE2[e] {
-			active[e] = true
+			kept = append(kept, int32(i))
 		}
 	}
-	if !anyActive(active) {
+	if len(kept) == 0 {
 		return stats, nil
 	}
+	items := gather(e2, kept)
 	local.SetSpanLabel(s.run, "chain")
-	choice, st, err := listcolor.SolvePairs(in.pairs, active, lists, s.baseCols, s.baseX, s.run)
+	choice, st, err := listcolor.SolvePairs(gather(in.pairs, items), nil, gather(lists, kept), gather(in.base, items), s.baseX, s.run)
 	seq(&stats, st)
 	if err != nil {
 		return stats, fmt.Errorf("core: E(2) assignment: %w", err)
 	}
-	for _, e := range e2 {
-		if active[e] && choice[e] >= 0 {
-			assign[e] = choice[e]
+	for i, e := range items {
+		if choice[i] >= 0 {
+			assign[e] = choice[i]
 		}
 	}
 	return stats, nil
@@ -335,119 +347,56 @@ func (s *Solver) runE2(in assignInput, assign []int, counts [][]int, level []int
 // (realizing the Δ̄ → 2√Δ̄ outer recursion of §4.3); small ones go to the
 // base solver.
 func (s *Solver) solveVirtual(inst instance, depth int) ([]int, local.Stats, error) {
-	dbar := maxActiveDegree(inst.pairs, inst.active)
+	dbar := newSideIndex(inst.pairs).maxDegree()
 	if dbar > s.params.BaseDegree && depth+1 < s.params.MaxDepth {
 		s.trace.VirtualRecursion++
 		return s.solveSlack1(inst, depth+1)
 	}
 	local.SetSpanLabel(s.run, "base")
-	return listcolor.SolvePairs(inst.pairs, inst.active, inst.lists, s.baseCols, s.baseX, s.run)
+	return listcolor.SolvePairs(inst.pairs, nil, inst.lists, inst.base, s.baseX, s.run)
 }
 
 // buildVirtualPairs splits every side key into virtual copies holding at
-// most groupSize phase members each (Figure 6), returning the virtual pair
-// system over the same item universe and the membership mask.
-func buildVirtualPairs(pairs [][2]int64, sideIdx map[int64][]int32, isMember map[int]bool, groupSize, m int) ([][2]int64, []bool) {
-	virtual := make([][2]int64, m)
-	active := make([]bool, m)
-	intern := make(map[[2]int64]int64)
-	derive := func(key int64, group int) int64 {
-		k := [2]int64{key, int64(group)}
-		id, ok := intern[k]
-		if !ok {
-			id = int64(len(intern))
-			intern[k] = id
+// most groupSize members each (Figure 6), returning the virtual pair of
+// each member, in members order.
+func buildVirtualPairs(ix *sideIndex, members []int32, groupSize int) [][2]int64 {
+	pos := make([]int32, len(ix.slots)) // item → 1 + position in members, 0 if none
+	seen := make([]bool, len(ix.keys))
+	var slots []int32 // slots holding a member
+	for i, e := range members {
+		pos[e] = int32(i) + 1
+		for _, k := range ix.slots[e] {
+			if !seen[k] {
+				seen[k] = true
+				slots = append(slots, k)
+			}
 		}
-		return id
 	}
-	// Iterate side keys in sorted order: derive hands out intern IDs in
-	// first-seen order, so walking the map directly would mint virtual
-	// pair IDs in map-iteration order — nondeterministic across runs,
-	// which breaks cross-engine equivalence and WAL replay of any solve
-	// that recurses through here.
-	keys := make([]int64, 0, len(sideIdx))
-	for key := range sideIdx {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
+	// Walk side keys in ascending key order: derive hands out IDs in
+	// first-seen order, so the walk order fixes the virtual pair IDs, and
+	// it must not depend on slot numbering or on any map's order (that
+	// would break cross-engine equivalence and WAL replay of any solve
+	// that recurses through here).
+	sort.Slice(slots, func(i, j int) bool { return ix.keys[slots[i]] < ix.keys[slots[j]] })
+	virtual := make([][2]int64, len(members))
+	next := int64(0)
+	for _, k := range slots {
 		rank := 0
-		for _, it := range sideIdx[key] {
-			e := int(it)
-			if !isMember[e] {
+		for _, e := range ix.at(k) {
+			i := pos[e] - 1
+			if i < 0 {
 				continue
 			}
-			vk := derive(key, rank/groupSize)
-			if pairs[e][0] == key {
-				virtual[e][0] = vk
+			// Groups of one key get consecutive IDs as the walk reaches them.
+			vk := next + int64(rank/groupSize)
+			if ix.slots[e][0] == k {
+				virtual[i][0] = vk
 			} else {
-				virtual[e][1] = vk
+				virtual[i][1] = vk
 			}
 			rank++
 		}
+		next += int64((rank + groupSize - 1) / groupSize)
 	}
-	for e := range virtual {
-		if isMember[e] {
-			active[e] = true
-		}
-	}
-	return virtual, active
-}
-
-// buildSideIndex returns the side-key incidence lists of the active items.
-func buildSideIndex(pairs [][2]int64, active []bool) map[int64][]int32 {
-	idx := make(map[int64][]int32)
-	for e, pr := range pairs {
-		if active == nil || active[e] {
-			idx[pr[0]] = append(idx[pr[0]], int32(e))
-			idx[pr[1]] = append(idx[pr[1]], int32(e))
-		}
-	}
-	return idx
-}
-
-// activeDegrees returns each active item's conflict degree within the
-// active subsystem. sideIdx may be nil to compute it internally.
-func activeDegrees(pairs [][2]int64, active []bool, sideIdx map[int64][]int32) []int {
-	if sideIdx == nil {
-		sideIdx = buildSideIndex(pairs, active)
-	}
-	deg := make([]int, len(pairs))
-	for e, pr := range pairs {
-		if active == nil || active[e] {
-			deg[e] = len(sideIdx[pr[0]]) + len(sideIdx[pr[1]]) - 2
-		}
-	}
-	return deg
-}
-
-// forEachNeighbor calls fn for every active item sharing a side key with e
-// (an item adjacent via both keys is visited twice, matching multi-links).
-func forEachNeighbor(pairs [][2]int64, sideIdx map[int64][]int32, e int, fn func(f int)) {
-	for _, key := range pairs[e] {
-		for _, it := range sideIdx[key] {
-			if int(it) != e {
-				fn(int(it))
-			}
-		}
-	}
-}
-
-func maxActiveDegree(pairs [][2]int64, active []bool) int {
-	d := 0
-	for _, x := range activeDegrees(pairs, active, nil) {
-		if x > d {
-			d = x
-		}
-	}
-	return d
-}
-
-func anyActive(active []bool) bool {
-	for _, a := range active {
-		if a {
-			return true
-		}
-	}
-	return false
+	return virtual
 }

@@ -25,51 +25,47 @@ func SolvePairs(pairs [][2]int64, active []bool, lists [][]int, initColors []int
 		run = local.Sequential
 	}
 	m := len(pairs)
-	if active == nil {
-		active = make([]bool, m)
-		for i := range active {
-			active[i] = true
-		}
-	}
 	if len(lists) != m {
 		return nil, local.Stats{}, fmt.Errorf("listcolor: %d lists for %d items", len(lists), m)
+	}
+	if initColors != nil && len(initColors) != m {
+		return nil, local.Stats{}, fmt.Errorf("listcolor: initColors has %d entries for %d items", len(initColors), m)
+	}
+	if active == nil {
+		init, x := initColors, initX
+		if init == nil {
+			init, x = make([]int, m), m
+			for i := range init {
+				init[i] = i
+			}
+		}
+		return SolveOnTopology(local.PairConflict(pairs), init, x, lists, run)
 	}
 	// Compact to the active items before building the conflict topology:
 	// callers hand in sparse masks over large item universes, and topology
 	// construction must not pay for inactive items.
-	orig := make([]int, 0, m)
+	var orig []int
 	for i := 0; i < m; i++ {
 		if active[i] {
 			orig = append(orig, i)
 		}
 	}
 	cPairs := make([][2]int64, len(orig))
-	for i, oe := range orig {
-		cPairs[i] = pairs[oe]
-	}
-	sub := local.PairConflict(cPairs)
-
-	init := make([]int, sub.N())
+	cLists := make([][]int, len(orig))
+	cInit := make([]int, len(orig))
 	x := initX
 	if initColors == nil {
 		x = m
-		for i, oe := range orig {
-			init[i] = oe
-		}
-	} else {
-		if len(initColors) != m {
-			return nil, local.Stats{}, fmt.Errorf("listcolor: initColors has %d entries for %d items", len(initColors), m)
-		}
-		for i, oe := range orig {
-			init[i] = initColors[oe]
-		}
 	}
-
-	subLists := make([][]int, sub.N())
 	for i, oe := range orig {
-		subLists[i] = lists[oe]
+		cPairs[i] = pairs[oe]
+		cLists[i] = lists[oe]
+		cInit[i] = oe
+		if initColors != nil {
+			cInit[i] = initColors[oe]
+		}
 	}
-	chosen, stats, err := SolveOnTopology(sub, init, x, subLists, run)
+	chosen, stats, err := SolvePairs(cPairs, nil, cLists, cInit, x, run)
 	if err != nil {
 		return nil, stats, err
 	}
